@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.assignment import Assignment, SlotEvaluator
 from repro.core.controller import Controller
-from repro.core.fastlp import PerSlotLpSolver
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.sim.engine import run_simulation
@@ -66,14 +65,6 @@ FULL_CONFIG: Dict = {
     "loop_slots": 12,
     "large_requests": 100_000,
     "large_slots": 3,
-    "lp_requests": 120,
-    "lp_stations": 40,
-    # The LP stage runs a small service catalog (the paper's regime, and
-    # the one where the optimal support is demand-stable enough for warm
-    # starts to pay off; with many near-tied services the support jumps
-    # between slots and warm solves degrade toward cold + overhead).
-    "lp_services": 3,
-    "lp_slots": 40,
     "repeats": 5,
     "seed": 2020,
 }
@@ -89,10 +80,6 @@ QUICK_CONFIG: Dict = {
     "loop_slots": 4,
     "large_requests": 200,
     "large_slots": 2,
-    "lp_requests": 12,
-    "lp_stations": 6,
-    "lp_services": 3,
-    "lp_slots": 6,
     "repeats": 2,
     "seed": 2020,
 }
@@ -308,41 +295,6 @@ def _large_run_stage(config: Dict) -> Dict:
     )
 
 
-def _lp_warm_start_stage(config: Dict) -> Dict:
-    """`OL_GD`'s per-slot LP: cold solves vs support-restricted warm starts."""
-    rngs = RngRegistry(seed=config["seed"])
-    network = MECNetwork.synthetic(config["lp_stations"], config["lp_services"], rngs)
-    rng = rngs.get("requests")
-    requests = [
-        Request(
-            index=i,
-            service_index=int(rng.integers(config["lp_services"])),
-            basic_demand_mb=float(rng.uniform(0.5, 2.0)),
-        )
-        for i in range(config["lp_requests"])
-    ]
-    drift = np.random.default_rng(config["seed"] + 5)
-    theta = drift.uniform(1.0, 3.0, network.n_stations)
-    slots = [
-        (
-            drift.uniform(0.5, 2.0, config["lp_requests"]),
-            theta + 0.02 * drift.standard_normal(network.n_stations),
-        )
-        for _ in range(config["lp_slots"])
-    ]
-
-    def run(warm: bool) -> None:
-        solver = PerSlotLpSolver(network, requests, warm_start=warm)
-        for demands, means in slots:
-            solver.solve(demands, means)
-
-    return _stage(
-        "lp_sequence_warm_start",
-        _median_seconds(lambda: run(False), config["repeats"]),
-        _median_seconds(lambda: run(True), config["repeats"]),
-    )
-
-
 # --------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------- #
@@ -379,7 +331,6 @@ def run_benchmark(config: Dict) -> Dict:
             config, "slot_loop_10k", config["loop_requests"], config["loop_slots"]
         ),
         _large_run_stage(config),
-        _lp_warm_start_stage(config),
     ]
     return {
         "schema": SCHEMA,

@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.api import MECNetwork, RngRegistry
 from repro.core import select_admissible
-from repro.core.formulation import build_caching_model
-from repro.lp import capacity_shadow_prices, solve_lp_with_duals
+from repro.core.fastlp import PerSlotLpSolver
 from repro.mec.datacenter import RemoteDataCenter, cloud_only_delay_ms
 from repro.workload import (
     BurstyDemandModel,
@@ -46,9 +45,7 @@ def main() -> None:
     # --- congestion prices on a normal slot -----------------------------
     demands = demand_model.demand_at(0)
     theta = network.delays.true_means
-    model, _ = build_caching_model(network, requests, demands, theta)
-    duals = solve_lp_with_duals(model)
-    prices = capacity_shadow_prices(model, duals, network.n_stations)
+    prices = PerSlotLpSolver(network, requests).capacity_prices(demands, theta)
 
     print("top congestion prices (ms of average delay per extra MHz):")
     order = np.argsort(-prices)

@@ -28,7 +28,6 @@ from repro.core.candidates import (
 from repro.core.churn import HysteresisController, evaluate_with_churn
 from repro.core.cmab import CmabController, cmab_thompson, cmab_ucb
 from repro.core.controller import Controller
-from repro.core.formulation import CachingVariables, build_caching_model
 from repro.core.greedy import GreedyController
 from repro.core.ol_gan import OlGanController
 from repro.core.ol_gd import ExplorationConfig, OlGdController
@@ -62,8 +61,6 @@ __all__ = [
     "repair_capacity",
     "sample_assignment",
     "Controller",
-    "CachingVariables",
-    "build_caching_model",
     "GreedyController",
     "OlGanController",
     "ExplorationConfig",

@@ -1,25 +1,26 @@
-"""Structure-cached per-slot LP solving (performance substrate).
+"""The per-slot caching program of Eqs. (3)-(8), assembled once.
 
 `OL_GD` solves one LP per slot whose *structure* never changes across a
 horizon: the variables (every `x_{li}` and `y_{ki}`), the assignment rows
 (Eq. 4), the coupling rows (Eq. 6) and the capacity row *pattern* (Eq. 5)
 are fixed; only the objective coefficients (`rho_l(t) * theta_i`) and the
-capacity coefficients (`rho_l(t) * C_unit`) move.  Rebuilding the model
-from Python dictionaries every slot (as :func:`build_caching_model` does)
-costs as much as the solve itself at the paper's scale.
+capacity coefficients (`rho_l(t) * C_unit`) move.
 
 :class:`PerSlotLpSolver` assembles the sparse matrices once and patches
-the changing entries in place per slot — producing exactly the same LP
-(verified against the reference builder in the property tests).
+the changing entries in place per slot.  It is the only place the repo
+builds the caching program: the LP relaxation (Eq. 8) goes to
+``scipy.optimize.linprog``, the integer program (Eq. 7) to
+``scipy.optimize.milp`` on the same arrays, and the capacity-row duals of
+the LP are the stations' congestion prices.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
 
 from repro import obs
 from repro.mec.network import MECNetwork
@@ -27,58 +28,14 @@ from repro.mec.requests import Request
 
 __all__ = ["PerSlotLpSolver"]
 
-#: A fractional x entry above this counts as part of the optimal support.
-_SUPPORT_TOL = 1e-9
 
-#: Extra columns kept per request when warm-starting: beyond the active
-#: columns, each request keeps its cheapest stations by reduced cost so
-#: the restricted LP can re-balance when demands shift.  A bare-support
-#: restriction (one column per request at an integral vertex) is fully
-#: pinned and so degenerate that its duals almost never certify
-#: optimality, driving the hit rate to zero.  12 columns per request is
-#: the sweep optimum: 8 leaves capacity-driven support shifts outside the
-#: restriction (misses), while wider pads converge the restricted LP
-#: toward the full one and erode the win.
-_SUPPORT_PER_REQUEST = 12
-
-#: Column-generation rounds a warm solve may spend growing the support
-#: before falling back to a cold full solve.  1 is the wall-clock
-#: optimum: when the padded support misses, the shifted optimum usually
-#: needs columns that only the *next* restricted duals would price in, so
-#: extra rounds mostly add restricted-solve cost on top of the inevitable
-#: cold fallback.
-_WARM_ROUNDS = 1
-
-
-# repro: allow[STATE001] -- only mutates the warm-start support and solver scratch buffers, ephemeral hints rebuilt by the first cold solve after resume
+# repro: allow[STATE001] -- only rewrites scratch buffers (objective, capacity coefficients and RHS) that every solve patches in full before use
 class PerSlotLpSolver:
-    """Reusable Eq. (3)-(8) relaxation for a fixed network + request set.
+    """Reusable Eq. (3)-(8) program for a fixed network + request set."""
 
-    ``warm_start=True`` enables incremental re-solving across slots: the
-    support (the x columns active in the previous optimum, plus every y
-    column) seeds a *restricted* LP with ~``|R| + |pairs|`` variables
-    instead of ``|R| x |BS|``; its duals then price every excluded column,
-    and only when some excluded column has a negative reduced cost does
-    the solver fall back to a cold full solve (which refreshes the
-    support).  An accepted warm solution is exactly optimal for the full
-    LP — primal-feasible by construction, dual-feasible by the pricing
-    check — but may sit on a *different* optimal vertex than the cold
-    path when the optimum is degenerate, so warm-started runs are not
-    bit-identical to cold ones (objective values agree to solver
-    tolerance; see the equivalence tests).  Off by default.
-    """
-
-    def __init__(
-        self,
-        network: MECNetwork,
-        requests: Sequence[Request],
-        *,
-        warm_start: bool = False,
-    ):
+    def __init__(self, network: MECNetwork, requests: Sequence[Request]):
         if not requests:
             raise ValueError("need at least one request")
-        self._warm_start = bool(warm_start)
-        self._support: Optional[np.ndarray] = None
         self._network = network
         self._requests = list(requests)
         R, S = len(requests), network.n_stations
@@ -91,18 +48,6 @@ class PerSlotLpSolver:
         self._y_offset = R * S
         self._n_vars = R * S + len(self._pairs)
         y_column = {pair: self._y_offset + p for p, pair in enumerate(self._pairs)}
-        # x column l*S+i -> index of its (service_l, i) pair; the warm-start
-        # pricing repair folds per-column dual deficits onto pairs.
-        pair_index = {pair: p for p, pair in enumerate(self._pairs)}
-        self._pair_of_col = np.fromiter(
-            (
-                pair_index[(r.service_index, i)]
-                for r in self._requests
-                for i in range(S)
-            ),
-            dtype=int,
-            count=R * S,
-        )
 
         # ---- objective: x part patched per slot, y part constant -------
         self._c = np.zeros(self._n_vars, dtype=np.float64)
@@ -136,11 +81,10 @@ class PerSlotLpSolver:
         matrix = sparse.coo_matrix(
             (data, (rows, cols)), shape=(n_ub_rows, self._n_vars)
         )
-        # CSC: HiGHS consumes columns, and the warm path slices columns
-        # (`A[:, cols]`), so column-major storage avoids a format
-        # conversion per solve.  It also makes the capacity patch a single
-        # fancy assignment: each x column l*S+i holds exactly two entries
-        # — capacity row i and coupling row S+l*S+i — and after
+        # CSC: HiGHS consumes columns, so column-major storage avoids a
+        # format conversion per solve.  It also makes the capacity patch a
+        # single strided assignment: each x column l*S+i holds exactly two
+        # entries — capacity row i and coupling row S+l*S+i — and after
         # sort_indices() the capacity entry (row i < S <= S+l*S+i) sits
         # first, at data position indptr[l*S+i].
         self._a_ub = sparse.csc_matrix(matrix)
@@ -170,7 +114,7 @@ class PerSlotLpSolver:
         self._capacity_view = data[: 2 * R * S : 2].reshape(R, S)
 
         # Capacity RHS is a snapshot; stations can change capacity between
-        # slots (outages, recovery), so solve() re-reads the live values.
+        # slots (outages, recovery), so every solve re-reads the live values.
         self._b_ub = np.concatenate(
             [network.capacities_mhz, np.zeros(R * S, dtype=np.float64)]
         )
@@ -206,45 +150,109 @@ class PerSlotLpSolver:
         """Like :meth:`solve`, also returning the optimal Eq. (3) objective.
 
         The objective value is what the clairvoyant comparator needs; it
-        is unique even when the argmin is degenerate, so it matches the
-        reference builder's objective exactly (up to solver tolerance).
+        is unique even when the argmin is degenerate.
         """
-        x, objective = self._solve(demands_mb, theta_ms)
-        return x, float(objective)
+        return self._solve(demands_mb, theta_ms)
+
+    def optimum(
+        self, cost_ms: np.ndarray, demands_mb: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
+        """Optimal LP x-matrix and objective under an `(|R|, |BS|)` cost matrix.
+
+        ``cost_ms[l, i]`` is the processing delay of serving request `l` at
+        station `i` — ``rho_l * theta_i`` for one slot, ``sum_t rho_l(t)
+        d_i(t) / T`` for the best fixed plan in hindsight — and
+        ``demands_mb`` sizes the capacity rows.
+        """
+        self._patch(cost_ms, demands_mb)
+        result = self._linprog()
+        return self._x_matrix(result.x), float(result.fun)
+
+    def exact_optimum(
+        self, cost_ms: np.ndarray, demands_mb: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
+        """Like :meth:`optimum`, for the integer program (Eq. 7).
+
+        Solved by ``scipy.optimize.milp`` at zero relative gap: exact, but
+        only practical for small instances (tens of stations and
+        requests).  Raises ``RuntimeError`` unless HiGHS reports the
+        program solved to optimality.
+        """
+        self._patch(cost_ms, demands_mb)
+        result = milp(
+            self._c,
+            integrality=np.ones(self._n_vars, dtype=np.int64),
+            bounds=Bounds(0.0, 1.0),
+            constraints=[
+                LinearConstraint(self._a_ub, -np.inf, self._b_ub),
+                LinearConstraint(self._a_eq, self._b_eq, self._b_eq),
+            ],
+            options={"mip_rel_gap": 0.0},
+        )
+        if result.status != 0:
+            raise RuntimeError(
+                f"caching ILP not solved to optimality (status {result.status}): "
+                f"{result.message}"
+            )
+        return self._x_matrix(result.x), float(result.fun)
+
+    def capacity_prices(
+        self, demands_mb: np.ndarray, theta_ms: np.ndarray
+    ) -> np.ndarray:
+        """Per-station congestion prices: the LP's Eq. (5) row duals.
+
+        Ms of average delay saved per extra MHz at each station; 0 where
+        capacity is slack.
+        """
+        self._patch(*self._slot_cost(demands_mb, theta_ms))
+        return -np.asarray(self._linprog().ineqlin.marginals[: self._S])
+
+    def _checked_demands(self, demands_mb: np.ndarray) -> np.ndarray:
+        demands_mb = np.asarray(demands_mb, dtype=np.float64)
+        if demands_mb.shape != (self._R,):
+            raise ValueError(
+                f"demands must have shape ({self._R},), got {demands_mb.shape}"
+            )
+        if np.any(demands_mb < 0):
+            raise ValueError("demands must be non-negative")
+        return demands_mb
+
+    def _slot_cost(
+        self, demands_mb: np.ndarray, theta_ms: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One slot's cost matrix ``rho_l * theta_i`` and its demands."""
+        demands_mb = self._checked_demands(demands_mb)
+        theta_ms = np.asarray(theta_ms, dtype=np.float64)
+        if theta_ms.shape != (self._S,):
+            raise ValueError(
+                f"theta must have shape ({self._S},), got {theta_ms.shape}"
+            )
+        return np.outer(demands_mb, theta_ms), demands_mb
 
     def _solve(
         self, demands_mb: np.ndarray, theta_ms: np.ndarray
     ) -> Tuple[np.ndarray, float]:
-        R, S = self._R, self._S
-        demands_mb = np.asarray(demands_mb, dtype=np.float64)
-        theta_ms = np.asarray(theta_ms, dtype=np.float64)
-        if demands_mb.shape != (R,):
-            raise ValueError(f"demands must have shape ({R},), got {demands_mb.shape}")
-        if theta_ms.shape != (S,):
-            raise ValueError(f"theta must have shape ({S},), got {theta_ms.shape}")
-        if np.any(demands_mb < 0):
-            raise ValueError("demands must be non-negative")
+        return self.optimum(*self._slot_cost(demands_mb, theta_ms))
 
+    def _patch(self, cost_ms: np.ndarray, demands_mb: np.ndarray) -> None:
+        demands_mb = self._checked_demands(demands_mb)
+        cost_ms = np.asarray(cost_ms, dtype=np.float64)
+        if cost_ms.shape != (self._R, self._S):
+            raise ValueError(
+                f"cost must have shape ({self._R}, {self._S}), got {cost_ms.shape}"
+            )
         with obs.span("lp.patch"):
-            # Patch the objective: c[x(l, i)] = rho_l * theta_i / R.
-            self._c[: R * S] = (np.outer(demands_mb, theta_ms) / R).reshape(-1)
+            # Patch the objective: c[x(l, i)] = cost[l, i] / R.
+            self._c[: self._R * self._S] = (cost_ms / self._R).reshape(-1)
             # Patch the capacity coefficients: rho_l * C_unit.
             needs = demands_mb * self._network.c_unit_mhz
             self._capacity_view[:] = needs[:, None]
             # Re-patch the capacity RHS from the live stations: the snapshot
             # taken at construction goes stale when capacities change
             # mid-horizon (failure injection degrades/restores stations).
-            self._b_ub[:S] = self._network.capacities_mhz
+            self._b_ub[: self._S] = self._network.capacities_mhz
 
-        if self._warm_start and self._support is not None:
-            warm = self._warm_solve()
-            if warm is not None:
-                obs.inc("lp.warm_hits", 1)
-                x_full, objective = warm
-                x = np.clip(x_full[: R * S], 0.0, 1.0)
-                return x.reshape(R, S), float(objective)
-            obs.inc("lp.warm_misses", 1)
-
+    def _linprog(self) -> OptimizeResult:
         with obs.span("lp.solve"):
             result = linprog(
                 self._c,
@@ -262,95 +270,8 @@ class PerSlotLpSolver:
         # HiGHS reports its simplex/IPM iteration count; fold it into the
         # registry so the stage-level cost has an algorithmic denominator.
         obs.inc("lp.iterations", int(getattr(result, "nit", 0)))
-        if self._warm_start:
-            self._update_support(result)
-        x = np.clip(np.asarray(result.x[: R * S]), 0.0, 1.0)
-        return x.reshape(R, S), float(result.fun)
+        return result
 
-    def _update_support(self, result: Any) -> None:
-        """Active x columns of the full-LP optimum, padded per request.
-
-        Keeps every column with positive mass plus each request's
-        ``_SUPPORT_PER_REQUEST`` cheapest columns by reduced cost
-        (HiGHS's ``lower.marginals``) — near-optimal alternates the next
-        slot's restricted LP may need.
-        """
-        x = np.asarray(result.x[: self._y_offset])
-        rc = np.asarray(result.lower.marginals[: self._y_offset])
-        keep = x > _SUPPORT_TOL
-        m = min(self._S, _SUPPORT_PER_REQUEST)
-        order = np.argsort(rc.reshape(self._R, self._S), axis=1)[:, :m]
-        keep.reshape(self._R, self._S)[np.arange(self._R)[:, None], order] = True
-        self._support = np.nonzero(keep)[0]
-
-    def _warm_solve(self) -> Optional[Tuple[np.ndarray, float]]:
-        """Column generation over the previous support.
-
-        Each round solves the LP restricted to the support's x columns
-        plus every y column, then prices the excluded x columns with the
-        restricted duals: ``rc = c - A_ub^T y_ub - A_eq^T y_eq``
-        (verified against HiGHS's ``lower.marginals``).  Columns that
-        price in are added to the support and the restricted LP is
-        re-solved; when none remain the restricted optimum is optimal
-        for the full LP and is accepted.  After ``_WARM_ROUNDS`` rounds
-        the caller falls back to a cold full solve (which also refreshes
-        the support).
-
-        Pricing is repaired for dual degeneracy before rejecting: HiGHS
-        leaves zero duals on the coupling rows of excluded columns (they
-        read ``-y_ki <= 0`` in the restricted LP), under-pricing those
-        columns.  Because coupling rows have b = 0, dual mass can be
-        pushed onto them freely — lifting x_li's reduced cost by delta
-        costs the matching y_ki column exactly delta of its reduced-cost
-        slack — so the repaired duals certify optimality by weak duality
-        iff every pair's total deficit fits inside its y slack (a y that
-        is basic or at its upper bound has none: conservative).
-        """
-        assert self._support is not None
-        support = self._support
-        y_cols = np.arange(self._y_offset, self._n_vars)
-        for _ in range(_WARM_ROUNDS):
-            cols = np.concatenate([support, y_cols])
-            with obs.span("lp.solve"):
-                result = linprog(
-                    self._c[cols],
-                    A_ub=self._a_ub[:, cols],
-                    b_ub=self._b_ub,
-                    A_eq=self._a_eq[:, cols],
-                    b_eq=self._b_eq,
-                    bounds=(0.0, 1.0),
-                    method="highs",
-                )
-            if result.status != 0:
-                return None  # restricted LP infeasible (support too small)
-            obs.inc("lp.iterations", int(getattr(result, "nit", 0)))
-            y_ub = np.asarray(result.ineqlin.marginals)
-            y_eq = np.asarray(result.eqlin.marginals)
-            reduced = np.asarray(
-                self._c - self._a_ub.T @ y_ub - self._a_eq.T @ y_eq
-            )
-            rc_x = reduced[: self._y_offset]
-            excluded = np.ones(self._y_offset, dtype=bool)
-            excluded[support] = False
-            tol = 1e-8 * max(1.0, float(np.abs(self._c).max()))
-            deficit_cols = np.nonzero(excluded & (rc_x < -tol))[0]
-            if deficit_cols.size:
-                deficiency = np.bincount(
-                    self._pair_of_col[deficit_cols],
-                    weights=-rc_x[deficit_cols],
-                    minlength=len(self._pairs),
-                )
-                rc_y = reduced[self._y_offset :]
-                if bool(np.any(deficiency > rc_y + tol)):
-                    # Columns genuinely price in: grow the support and
-                    # re-solve the (still much smaller) restricted LP.
-                    support = np.union1d(support, deficit_cols)
-                    continue
-            # Optimal for the full LP.  The (possibly grown) support
-            # carries to the next slot; a future miss's cold solve
-            # re-shrinks it.
-            self._support = support
-            x_full = np.zeros(self._n_vars, dtype=np.float64)
-            x_full[cols] = result.x
-            return x_full, float(result.fun)
-        return None
+    def _x_matrix(self, values: np.ndarray) -> np.ndarray:
+        x = np.clip(np.asarray(values[: self._y_offset]), 0.0, 1.0)
+        return x.reshape(self._R, self._S)

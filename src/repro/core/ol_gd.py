@@ -38,8 +38,6 @@ from repro.core.candidates import (
     sample_assignment,
 )
 from repro.core.controller import Controller
-from repro.core.formulation import build_caching_model
-from repro.lp.solver import solve_lp
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.validation import require_probability
@@ -104,13 +102,6 @@ class OlGdController(Controller):
         (:class:`repro.bandits.WindowedArmStats`), the standard
         non-stationary-bandit extension for the drifting delays of §I —
         compared in ``benchmarks/bench_ablation_window.py``.
-    lp_warm_start:
-        Warm-start each slot's LP from the previous optimum's support
-        with dual-pricing verification (see
-        :class:`repro.core.fastlp.PerSlotLpSolver`).  Objective-exact but
-        possibly a different optimal vertex, so sampled assignments — and
-        therefore resumed trajectories — are not bit-identical to cold
-        solves; off by default.
 
     Unplayed arms take the *optimistic* prior `d_min` (Lemma 1 assumes the
     delay bounds are known a priori): an unplayed station looks attractive
@@ -131,7 +122,6 @@ class OlGdController(Controller):
         exploration: Optional[ExplorationConfig] = None,
         repair: bool = True,
         estimator_window: Optional[int] = None,
-        lp_warm_start: bool = False,
     ):
         super().__init__(network, requests)
         require_probability("gamma", gamma)
@@ -139,7 +129,6 @@ class OlGdController(Controller):
         self.exploration = exploration if exploration is not None else ExplorationConfig()
         self._rng = rng
         self._repair = bool(repair)
-        self._lp_warm_start = bool(lp_warm_start)
         d_min, _ = network.delays.bounds
         if estimator_window is None:
             self.arms = ArmStats(network.n_stations, prior_mean=d_min)
@@ -173,9 +162,7 @@ class OlGdController(Controller):
             # identical solutions — see repro.core.fastlp).
             from repro.core.fastlp import PerSlotLpSolver
 
-            self._lp_solver = PerSlotLpSolver(
-                self.network, self.requests, warm_start=self._lp_warm_start
-            )
+            self._lp_solver = PerSlotLpSolver(self.network, self.requests)
         try:
             return self._lp_solver.solve(lp_demands, self.arms.means)
         except RuntimeError as error:

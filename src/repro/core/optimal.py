@@ -5,8 +5,12 @@ the realised `d_i(t)` would have chosen.  Two variants:
 
 * :func:`clairvoyant_cost` — the LP-relaxation optimum (a lower bound on
   the achievable integer cost, cheap at any scale);
-* :func:`clairvoyant_cost_exact` — the exact ILP optimum via branch and
-  bound, for the small instances used in tests and ablations.
+* :func:`clairvoyant_cost_exact` — the exact ILP optimum, proven by
+  HiGHS's branch and cut (``scipy.optimize.milp``), for the small
+  instances used in tests and ablations.
+
+Both, and the hindsight comparator, solve the program that
+:class:`~repro.core.fastlp.PerSlotLpSolver` assembles.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.fastlp import PerSlotLpSolver
-from repro.core.formulation import build_caching_model
-from repro.lp.branch_and_bound import solve_ilp
-from repro.lp.solver import solve_lp
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 
@@ -59,8 +60,7 @@ def clairvoyant_cost(
     """Optimal Eq. (3) objective of one slot under known `d_i(t)` (LP bound).
 
     Solves through a cached :class:`~repro.core.fastlp.PerSlotLpSolver`
-    (same LP as the dict-based reference builder, asserted equivalent in
-    the test suite) instead of rebuilding the model every slot.
+    instead of rebuilding the program every slot.
     """
     solver = _cached_solver(network, requests)
     _, objective = solver.solve_with_objective(
@@ -75,7 +75,6 @@ def static_hindsight_cost(
     demand_matrix: np.ndarray,
     delay_matrix: np.ndarray,
     exact: bool = False,
-    node_limit: int = 2000,
 ) -> float:
     """Best *fixed* caching/assignment in hindsight, averaged per slot.
 
@@ -87,8 +86,10 @@ def static_hindsight_cost(
         sum_t x_li * rho_l(t) * d_i(t)  =  x_li * C[l, i],
         C[l, i] = sum_t rho_l(t) * d_i(t),
 
-    so a single LP/ILP over the summed coefficients solves it.  Capacity
-    must hold in *every* slot, i.e. at the per-request peak demand.
+    so a single LP/ILP over the summed coefficients solves it: the
+    per-slot program with cost matrix ``C / T``.  Capacity must hold in
+    *every* slot, i.e. at the per-request peak demand.  ``exact=True``
+    solves the integer program and raises unless it is proven optimal.
 
     ``demand_matrix``: shape ``(T, |R|)``; ``delay_matrix``: shape
     ``(T, |BS|)``.  Returns the per-slot average cost (comparable to the
@@ -109,62 +110,14 @@ def static_hindsight_cost(
     if horizon == 0:
         raise ValueError("need at least one slot")
 
-    # Summed processing coefficients and per-request peak demands.
-    summed = demand_matrix.T @ delay_matrix  # (|R|, |BS|)
+    # Per-slot mean processing cost and per-request peak demands.
+    mean_cost = demand_matrix.T @ delay_matrix / horizon  # (|R|, |BS|)
     peaks = demand_matrix.max(axis=0)
-
-    # Build a one-shot model: objective C[l,i]/(T*|R|) per x, with the
-    # instantiation term charged every slot (T * d_ins / (T*|R|)).
-    from repro.lp.model import LpModel, Sense
-
-    R, S = len(requests), network.n_stations
-    scale = 1.0 / (horizon * R)
-    model = LpModel("static-hindsight")
-    for l in range(R):
-        for i in range(S):
-            model.add_variable(
-                low=0.0, high=1.0, objective=scale * summed[l, i], integer=exact,
-                name=f"x[{l},{i}]",
-            )
-    needed_services = sorted({r.service_index for r in requests})
-    y_index = {}
-    for k in needed_services:
-        for i in range(S):
-            y_index[(k, i)] = model.add_variable(
-                low=0.0,
-                high=1.0,
-                objective=scale * horizon * network.services.instantiation_delay(i, k),
-                integer=exact,
-                name=f"y[{k},{i}]",
-            )
-    for l in range(R):
-        model.add_constraint(
-            {l * S + i: 1.0 for i in range(S)}, Sense.EQ, 1.0
-        )
-    for i in range(S):
-        model.add_constraint(
-            {l * S + i: peaks[l] * network.c_unit_mhz for l in range(R)},
-            Sense.LE,
-            network.stations[i].capacity_mhz,
-        )
-    for l, request in enumerate(requests):
-        for i in range(S):
-            model.add_constraint(
-                {y_index[(request.service_index, i)]: 1.0, l * S + i: -1.0},
-                Sense.GE,
-                0.0,
-            )
-    if exact:
-        result = solve_ilp(model, node_limit=node_limit)
-        if not result.has_solution:
-            raise RuntimeError(f"hindsight ILP found no solution: {result.status}")
-        return result.objective
-    solution = solve_lp(model)
-    if not solution.is_optimal:
-        raise RuntimeError(
-            f"hindsight LP failed ({solution.status}): {solution.message}"
-        )
-    return solution.objective
+    solver = PerSlotLpSolver(network, requests)
+    _, objective = (solver.exact_optimum if exact else solver.optimum)(
+        mean_cost, peaks
+    )
+    return objective
 
 
 def clairvoyant_cost_exact(
@@ -172,18 +125,15 @@ def clairvoyant_cost_exact(
     requests: Sequence[Request],
     demands_mb: np.ndarray,
     unit_delays_ms: np.ndarray,
-    node_limit: int = 2000,
 ) -> float:
     """Exact integer optimum of one slot (small instances only).
 
-    Falls back to the best incumbent when the node limit is reached (the
-    result then still upper-bounds the optimum and lower-bounds nothing —
-    callers needing certainty should check instance size first).
+    Raises ``RuntimeError`` unless HiGHS proves the optimum (or when the
+    slot has no integral assignment).
     """
-    model, _ = build_caching_model(
-        network, requests, demands_mb, unit_delays_ms, integer=True
+    demands_mb = np.asarray(demands_mb, dtype=float)
+    cost = np.outer(demands_mb, np.asarray(unit_delays_ms, dtype=float))
+    _, objective = _cached_solver(network, requests).exact_optimum(
+        cost, demands_mb
     )
-    result = solve_ilp(model, node_limit=node_limit)
-    if not result.has_solution:
-        raise RuntimeError(f"clairvoyant ILP found no solution: {result.status}")
-    return result.objective
+    return objective

@@ -34,8 +34,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "campaign.world_cache_hits",
         "campaign.world_cache_misses",
         "lp.iterations",
-        "lp.warm_hits",
-        "lp.warm_misses",
         "olgd.arms_played",
         "serve.offers",
         "serve.rejected",

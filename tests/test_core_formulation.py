@@ -1,11 +1,11 @@
-"""Tests for the Eq. (3)-(7) model builder and the clairvoyant optimum."""
+"""Tests for the Eq. (3)-(7) program as PerSlotLpSolver builds it, and
+for the clairvoyant optimum."""
 
 import numpy as np
 import pytest
 
-from repro.core.formulation import build_caching_model
+from repro.core.fastlp import PerSlotLpSolver
 from repro.core.optimal import clairvoyant_cost, clairvoyant_cost_exact
-from repro.lp.solver import solve_lp
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.seeding import RngRegistry
@@ -30,99 +30,82 @@ def small():
 
 class TestBuildCachingModel:
     def test_variable_count(self, small):
-        network, requests, demands = small
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means
-        )
+        network, requests, _ = small
+        solver = PerSlotLpSolver(network, requests)
         n_services_needed = len({r.service_index for r in requests})
         expected = len(requests) * 6 + n_services_needed * 6
-        assert model.n_variables == expected
+        assert solver.n_variables == expected
 
     def test_constraint_count(self, small):
-        network, requests, demands = small
-        model, _ = build_caching_model(
-            network, requests, demands, network.delays.true_means
-        )
+        network, requests, _ = small
+        solver = PerSlotLpSolver(network, requests)
         # Eq.4: |R|; Eq.5: |BS|; Eq.6: |R| * |BS|.
-        assert model.n_constraints == 4 + 6 + 4 * 6
+        assert solver._a_eq.shape[0] + solver._a_ub.shape[0] == 4 + 6 + 4 * 6
 
     def test_lp_solution_is_valid_distribution(self, small):
         network, requests, demands = small
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means
+        x = PerSlotLpSolver(network, requests).solve(
+            demands, network.delays.true_means
         )
-        solution = solve_lp(model)
-        assert solution.is_optimal
-        x = variables.x_matrix(solution.values)
         np.testing.assert_allclose(x.sum(axis=1), np.ones(len(requests)), atol=1e-6)
         assert np.all(x >= -1e-9)
 
     def test_lp_respects_capacity(self, small):
         network, requests, demands = small
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means
+        x = PerSlotLpSolver(network, requests).solve(
+            demands, network.delays.true_means
         )
-        solution = solve_lp(model)
-        x = variables.x_matrix(solution.values)
         loads = (x * demands[:, np.newaxis]).sum(axis=0) * network.c_unit_mhz
         assert np.all(loads <= network.capacities_mhz + 1e-6)
 
     def test_y_covers_x(self, small):
-        """Eq. 6: fractional caching mass dominates assignment mass."""
+        """Eq. 6: the objective pays for caching mass that dominates x.
+
+        The y part of the optimum is at least the instantiation cost of
+        the smallest cache Eq. 6 allows, ``y_ki = max_l x_li`` over the
+        requests of service k.
+        """
         network, requests, demands = small
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means
+        theta = network.delays.true_means
+        x, objective = PerSlotLpSolver(network, requests).solve_with_objective(
+            demands, theta
         )
-        solution = solve_lp(model)
-        x = variables.x_matrix(solution.values)
-        y = variables.y_values(solution.values)
-        for l, request in enumerate(requests):
+        R = len(requests)
+        x_cost = float((np.outer(demands, theta) / R * x).sum())
+        least_cache_cost = 0.0
+        for k in {r.service_index for r in requests}:
+            of_k = [l for l, r in enumerate(requests) if r.service_index == k]
             for i in range(network.n_stations):
-                assert y[(request.service_index, i)] >= x[l, i] - 1e-6
+                d_ins = network.services.instantiation_delay(i, k)
+                least_cache_cost += d_ins / R * x[of_k, i].max()
+        assert objective >= x_cost + least_cache_cost - 1e-9
 
     def test_mass_concentrates_on_fast_stations(self, small):
         network, requests, demands = small
         theta = network.delays.true_means
-        model, variables = build_caching_model(network, requests, demands, theta)
-        solution = solve_lp(model)
-        x = variables.x_matrix(solution.values)
+        x = PerSlotLpSolver(network, requests).solve(demands, theta)
         # The bulk of assignment mass should sit on below-median-delay stations.
         fast = theta <= np.median(theta)
         assert x[:, fast].sum() > 0.5 * x.sum()
 
     def test_shape_validation(self, small):
         network, requests, demands = small
+        solver = PerSlotLpSolver(network, requests)
         with pytest.raises(ValueError, match="demand"):
-            build_caching_model(
-                network, requests, demands[:-1], network.delays.true_means
-            )
+            solver.solve(demands[:-1], network.delays.true_means)
         with pytest.raises(ValueError, match="theta"):
-            build_caching_model(
-                network, requests, demands, network.delays.true_means[:-1]
-            )
+            solver.solve(demands, network.delays.true_means[:-1])
         with pytest.raises(ValueError, match="request"):
-            build_caching_model(
-                network, [], np.array([]), network.delays.true_means
-            )
+            PerSlotLpSolver(network, [])
 
     def test_negative_demand_rejected(self, small):
         network, requests, demands = small
         demands = demands.copy()
         demands[0] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            build_caching_model(network, requests, demands, network.delays.true_means)
-
-    def test_variable_index_round_trip(self, small):
-        network, requests, demands = small
-        _, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means
-        )
-        assert variables.x_index(0, 0) == 0
-        assert variables.x_index(1, 0) == network.n_stations
-        with pytest.raises(IndexError):
-            variables.x_index(99, 0)
-        with pytest.raises(KeyError):
-            variables.y_index(99, 0)
+            PerSlotLpSolver(network, requests).solve(
+                demands, network.delays.true_means
+            )
 
 
 class TestClairvoyant:
@@ -152,58 +135,3 @@ class TestClairvoyant:
         network, requests, demands = small
         d_t = network.delays.sample(0)
         assert clairvoyant_cost(network, requests, demands, d_t) > 0
-
-
-class TestBandwidthExtension:
-    def test_constraint_count_grows_by_stations(self, small):
-        network, requests, demands = small
-        base, _ = build_caching_model(
-            network, requests, demands, network.delays.true_means
-        )
-        extended, _ = build_caching_model(
-            network, requests, demands, network.delays.true_means,
-            slot_seconds=1.0,
-        )
-        assert extended.n_constraints == base.n_constraints + network.n_stations
-
-    def test_lp_respects_bandwidth(self, small):
-        network, requests, demands = small
-        slot_seconds = 1.0
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means,
-            slot_seconds=slot_seconds,
-        )
-        solution = solve_lp(model)
-        assert solution.is_optimal
-        x = variables.x_matrix(solution.values)
-        volumes = (x * demands[:, np.newaxis]).sum(axis=0)
-        budgets = np.array(
-            [bs.bandwidth_mbps * slot_seconds / 8.0 for bs in network.stations]
-        )
-        assert np.all(volumes <= budgets + 1e-6)
-
-    def test_tight_bandwidth_forces_spreading(self, small):
-        network, requests, demands = small
-        # A slot so short that even the best-connected station can carry
-        # little more than one request's data.
-        per_request = float(demands.max())
-        widest = max(bs.bandwidth_mbps for bs in network.stations)
-        slot_seconds = per_request * 8.0 / widest * 1.2
-        model, variables = build_caching_model(
-            network, requests, demands, network.delays.true_means,
-            slot_seconds=slot_seconds,
-        )
-        solution = solve_lp(model)
-        if not solution.is_optimal:
-            pytest.skip("instance infeasible under the tight bandwidth")
-        x = variables.x_matrix(solution.values)
-        used = (x.sum(axis=0) > 1e-6).sum()
-        assert used >= 2  # the load cannot pile onto a single station
-
-    def test_invalid_slot_seconds(self, small):
-        network, requests, demands = small
-        with pytest.raises(ValueError, match="slot_seconds"):
-            build_caching_model(
-                network, requests, demands, network.delays.true_means,
-                slot_seconds=0.0,
-            )

@@ -1,73 +1,53 @@
-"""Tests for LP duals and station congestion prices."""
+"""Tests for the per-slot LP's capacity-row duals (station congestion prices)."""
 
 import numpy as np
 import pytest
 
-from repro.core.formulation import build_caching_model
-from repro.lp.duals import capacity_shadow_prices, solve_lp_with_duals
-from repro.lp.model import LpModel, Sense
+from repro.core.fastlp import PerSlotLpSolver
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.seeding import RngRegistry
 
 
-class TestSolveLpWithDuals:
-    def test_binding_constraint_has_positive_price(self):
-        # min x  s.t. x >= 3  ->  dual of the GE constraint is -1 in the
-        # user's orientation (tightening `x >= 3` upward raises the cost).
-        model = LpModel()
-        x = model.add_variable(objective=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 3.0)
-        duals = solve_lp_with_duals(model)
-        assert duals.is_optimal
-        assert duals.primal.value_of(x) == pytest.approx(3.0)
-        assert duals.ineq_duals[0] == pytest.approx(-1.0)
+def _loads(network, x, demands):
+    return (x * demands[:, None]).sum(axis=0) * network.c_unit_mhz
 
-    def test_le_shadow_price_positive_when_binding(self):
-        # max 2x (<=> min -2x) with x <= 5: relaxing x<=5 by 1 improves
-        # the objective by 2 -> price +2.
-        model = LpModel()
-        x = model.add_variable(objective=-2.0)
-        model.add_constraint({x: 1.0}, Sense.LE, 5.0)
-        duals = solve_lp_with_duals(model)
-        assert duals.ineq_duals[0] == pytest.approx(2.0)
+
+class TestSolveLpWithDuals:
+    def _world(self, seed, n_stations=5, n_requests=8):
+        rngs = RngRegistry(seed=seed)
+        network = MECNetwork.synthetic(n_stations, 2, rngs)
+        rng = rngs.get("requests")
+        requests = [
+            Request(index=i, service_index=int(rng.integers(2)), basic_demand_mb=2.0)
+            for i in range(n_requests)
+        ]
+        return network, requests, np.full(n_requests, 2.0)
+
+    def test_binding_constraint_has_positive_price(self):
+        """Scarce compute at the fastest station: its capacity binds and
+        relaxing it is worth something."""
+        network, requests, demands = self._world(61)
+        theta = network.delays.true_means
+        fastest = int(np.argmin(theta))
+        network.stations[fastest].capacity_mhz = 1.5 * 2.0 * network.c_unit_mhz
+        solver = PerSlotLpSolver(network, requests)
+        x = solver.solve(demands, theta)
+        prices = solver.capacity_prices(demands, theta)
+        assert _loads(network, x, demands)[fastest] == pytest.approx(
+            network.capacities_mhz[fastest]
+        )
+        assert prices[fastest] > 1e-9
 
     def test_slack_constraint_zero_price(self):
-        model = LpModel()
-        x = model.add_variable(objective=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 3.0)
-        model.add_constraint({x: 1.0}, Sense.LE, 100.0)  # never binding
-        duals = solve_lp_with_duals(model)
-        assert duals.ineq_duals[1] == pytest.approx(0.0)
-
-    def test_equality_dual_reported(self):
-        model = LpModel()
-        x = model.add_variable(objective=3.0)
-        model.add_constraint({x: 1.0}, Sense.EQ, 2.0)
-        duals = solve_lp_with_duals(model)
-        assert duals.eq_duals.shape == (1,)
-        assert duals.eq_duals[0] == pytest.approx(-3.0)
-
-    def test_infeasible_reports_status(self):
-        model = LpModel()
-        x = model.add_variable(low=0.0, high=1.0, objective=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 5.0)
-        duals = solve_lp_with_duals(model)
-        assert not duals.is_optimal
-
-    def test_strong_duality_objective_match(self):
-        """b'y (duals) equals the primal optimum for a pure-LE model with
-        free-ish bounds absorbed into constraints."""
-        model = LpModel()
-        x = model.add_variable(objective=-1.0)
-        y = model.add_variable(objective=-2.0)
-        model.add_constraint({x: 1.0, y: 1.0}, Sense.LE, 4.0)
-        model.add_constraint({x: 1.0}, Sense.LE, 3.0)
-        duals = solve_lp_with_duals(model)
-        # Dual objective: sum over LE rows of price * rhs (signs per our
-        # convention give the objective *improvement* available).
-        dual_value = -(duals.ineq_duals @ np.array([4.0, 3.0]))
-        assert duals.primal.objective == pytest.approx(dual_value, abs=1e-9)
+        """Ample compute everywhere: no capacity row binds, no price."""
+        network, requests, demands = self._world(62)
+        network.c_unit_mhz = float(network.capacities_mhz.min() / 100.0)
+        theta = network.delays.true_means
+        solver = PerSlotLpSolver(network, requests)
+        x = solver.solve(demands, theta)
+        assert np.all(_loads(network, x, demands) < network.capacities_mhz)
+        np.testing.assert_array_equal(solver.capacity_prices(demands, theta), 0.0)
 
 
 class TestCapacityShadowPrices:
@@ -90,23 +70,19 @@ class TestCapacityShadowPrices:
 
     def test_prices_shape_and_nonnegative(self):
         network, requests, demands = self._congested_world()
-        model, _ = build_caching_model(
-            network, requests, demands, network.delays.true_means
+        prices = PerSlotLpSolver(network, requests).capacity_prices(
+            demands, network.delays.true_means
         )
-        duals = solve_lp_with_duals(model)
-        prices = capacity_shadow_prices(model, duals, network.n_stations)
         assert prices.shape == (network.n_stations,)
         assert np.all(prices >= -1e-9)
 
     def test_congested_fast_station_is_priced(self):
         network, requests, demands = self._congested_world()
         theta = network.delays.true_means
-        model, variables = build_caching_model(network, requests, demands, theta)
-        duals = solve_lp_with_duals(model)
-        prices = capacity_shadow_prices(model, duals, network.n_stations)
-        x = variables.x_matrix(duals.primal.values)
-        loads = (x * demands[:, None]).sum(axis=0) * network.c_unit_mhz
-        utilisation = loads / network.capacities_mhz
+        solver = PerSlotLpSolver(network, requests)
+        x = solver.solve(demands, theta)
+        prices = solver.capacity_prices(demands, theta)
+        utilisation = _loads(network, x, demands) / network.capacities_mhz
         # Complementary slackness: priced stations are saturated.
         for i in range(network.n_stations):
             if prices[i] > 1e-6:
@@ -116,18 +92,6 @@ class TestCapacityShadowPrices:
 
     def test_requires_optimal_duals(self):
         network, requests, demands = self._congested_world()
-        model, _ = build_caching_model(
-            network, requests, demands, network.delays.true_means
-        )
-        bad = solve_lp_with_duals(LpModelWithImpossibleRow(model))
-        with pytest.raises(ValueError, match="optimal"):
-            capacity_shadow_prices(model, bad, network.n_stations)
-
-
-def LpModelWithImpossibleRow(model):
-    """A copy of ``model`` with an infeasible extra constraint."""
-    clone = model.with_bounds({})
-    first = 0
-    clone.add_constraint({first: 1.0}, Sense.GE, 10.0)
-    clone.add_constraint({first: 1.0}, Sense.LE, -10.0)
-    return clone
+        solver = PerSlotLpSolver(network, requests)
+        with pytest.raises(RuntimeError, match="LP failed"):
+            solver.capacity_prices(demands * 1e6, network.delays.true_means)

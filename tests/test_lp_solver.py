@@ -1,170 +1,128 @@
-"""Tests for the LP solver and the exact branch-and-bound ILP solver."""
+"""Tests for the exact per-slot optimum: PerSlotLpSolver's LP and its ILP
+(``scipy.optimize.milp``), checked against exhaustive enumeration."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.lp.branch_and_bound import solve_ilp
-from repro.lp.model import LpModel, Sense
-from repro.lp.solver import solve_lp
+from repro.core.fastlp import PerSlotLpSolver
+from repro.core.optimal import clairvoyant_cost, clairvoyant_cost_exact
+from repro.mec.network import MECNetwork
+from repro.mec.requests import Request
+from repro.utils.seeding import RngRegistry
 
 
-def knapsack_model(values, weights, capacity, integer=True):
-    """max sum(v*x) s.t. sum(w*x) <= capacity  ->  min -sum(v*x)."""
-    model = LpModel("knapsack")
-    indices = [
-        model.add_variable(low=0.0, high=1.0, objective=-v, integer=integer)
-        for v in values
+def tiny_instance(seed, n_stations, n_requests, load):
+    """A world whose aggregate demand is ``load`` x the aggregate capacity,
+    so the smaller stations cannot host every request."""
+    rngs = RngRegistry(seed=seed)
+    network = MECNetwork.synthetic(n_stations, 2, rngs)
+    rng = rngs.get("requests")
+    requests = [
+        Request(
+            index=i,
+            service_index=int(rng.integers(2)),
+            basic_demand_mb=float(rng.uniform(0.5, 2.0)),
+        )
+        for i in range(n_requests)
     ]
-    model.add_constraint(
-        {i: w for i, w in zip(indices, weights)}, Sense.LE, capacity
-    )
-    return model
+    demands = np.array([r.basic_demand_mb for r in requests])
+    network.c_unit_mhz = float(load * network.total_capacity_mhz() / demands.sum())
+    return network, requests, demands, network.delays.sample(0)
+
+
+def tiny_corpus(n_cases=40):
+    params = np.random.default_rng(2020)
+    for seed in range(n_cases):
+        yield tiny_instance(
+            seed,
+            int(params.integers(2, 5)),
+            int(params.integers(1, 4)),
+            float(params.uniform(0.2, 0.9)),
+        )
+
+
+def brute_force_optimum(network, requests, demands, unit_delays):
+    """Minimum Eq. (3) cost over every station choice, with the smallest
+    cache each choice implies; choices that break capacity are skipped.
+
+    Returns ``(optimum, n_skipped)``; the optimum is ``inf`` when no
+    choice fits.
+    """
+    R, S = len(requests), network.n_stations
+    best, skipped = np.inf, 0
+    for stations in itertools.product(range(S), repeat=R):
+        loads = np.zeros(S)
+        np.add.at(loads, list(stations), demands * network.c_unit_mhz)
+        if np.any(loads > network.capacities_mhz):
+            skipped += 1
+            continue
+        processing = sum(demands[l] * unit_delays[i] for l, i in enumerate(stations))
+        cached = {(r.service_index, i) for r, i in zip(requests, stations)}
+        caching = sum(network.services.instantiation_delay(i, k) for k, i in cached)
+        best = min(best, (processing + caching) / R)
+    return best, skipped
 
 
 class TestSolveLp:
-    def test_simple_minimum(self):
-        model = LpModel()
-        x = model.add_variable(objective=2.0)
-        y = model.add_variable(objective=3.0)
-        model.add_constraint({x: 1.0, y: 1.0}, Sense.GE, 4.0)
-        solution = solve_lp(model)
-        assert solution.is_optimal
-        # All weight goes to the cheaper variable.
-        assert solution.value_of(x) == pytest.approx(4.0)
-        assert solution.value_of(y) == pytest.approx(0.0)
-        assert solution.objective == pytest.approx(8.0)
-
-    def test_equality_constraint(self):
-        model = LpModel()
-        x = model.add_variable(objective=1.0)
-        model.add_constraint({x: 2.0}, Sense.EQ, 6.0)
-        solution = solve_lp(model)
-        assert solution.value_of(x) == pytest.approx(3.0)
-
     def test_infeasible(self):
-        model = LpModel()
-        x = model.add_variable(low=0.0, high=1.0, objective=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 5.0)
-        solution = solve_lp(model)
-        assert solution.status == "infeasible"
-        assert not solution.is_optimal
-        assert math.isnan(solution.objective)
-
-    def test_unbounded(self):
-        model = LpModel()
-        model.add_variable(objective=-1.0)  # minimise -x, x unbounded above
-        solution = solve_lp(model)
-        assert solution.status == "unbounded"
-
-    def test_value_of_raises_when_not_optimal(self):
-        model = LpModel()
-        x = model.add_variable(low=0.0, high=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 5.0)
-        solution = solve_lp(model)
-        with pytest.raises(RuntimeError):
-            solution.value_of(x)
-
-    def test_empty_model_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lp(LpModel())
+        network, requests, demands, d_t = tiny_instance(3, 3, 3, 0.5)
+        with pytest.raises(RuntimeError, match="LP failed"):
+            clairvoyant_cost(network, requests, demands * 10.0, d_t)
 
     def test_values_respect_bounds(self):
-        model = LpModel()
-        x = model.add_variable(low=0.0, high=1.0, objective=-1.0)
-        solution = solve_lp(model)
-        assert 0.0 <= solution.value_of(x) <= 1.0
-
-    def test_lp_relaxation_is_fractional_for_knapsack(self):
-        model = knapsack_model([6.0, 5.0], [5.0, 4.0], 6.0, integer=False)
-        solution = solve_lp(model)
-        values = solution.values
-        assert any(0.01 < v < 0.99 for v in values)
+        for network, requests, demands, d_t in tiny_corpus(10):
+            x = PerSlotLpSolver(network, requests).solve(demands, d_t)
+            assert np.all((x >= 0.0) & (x <= 1.0))
 
 
 class TestSolveIlp:
-    def test_knapsack_exact(self):
-        # capacity 10: best is items 1+2 (values 6+5=11, weights 5+4=9),
-        # not the greedy item 0 (value 9, weight 8).
-        model = knapsack_model([9.0, 6.0, 5.0], [8.0, 5.0, 4.0], 10.0)
-        result = solve_ilp(model)
-        assert result.proven_optimal
-        assert result.objective == pytest.approx(-11.0)
-        np.testing.assert_allclose(result.values, [0.0, 1.0, 1.0])
-
-    def test_integral_lp_shortcut(self):
-        """When the LP relaxation is already integral, one node suffices."""
-        model = LpModel()
-        x = model.add_binary(objective=-1.0)
-        result = solve_ilp(model)
-        assert result.proven_optimal
-        assert result.values[x] == 1.0
-        assert result.nodes_explored == 1
-
     def test_infeasible(self):
-        model = LpModel()
-        x = model.add_binary(objective=1.0)
-        model.add_constraint({x: 1.0}, Sense.GE, 2.0)
-        result = solve_ilp(model)
-        assert result.status == "infeasible"
-        assert not result.has_solution
-        assert result.gap == math.inf
+        """A fractional split fits, but no integral assignment does."""
+        network, requests, _, d_t = tiny_instance(3, 2, 2, 0.5)
+        demands = np.full(2, 1.0)
+        # Each request needs one c_unit of compute: one station holds half
+        # a request, the other one and a half.
+        network.stations[0].capacity_mhz = 0.5 * network.c_unit_mhz
+        network.stations[1].capacity_mhz = 1.5 * network.c_unit_mhz
+        assert clairvoyant_cost(network, requests, demands, d_t) > 0
+        with pytest.raises(RuntimeError, match="ILP"):
+            clairvoyant_cost_exact(network, requests, demands, d_t)
 
     def test_ilp_never_better_than_lp(self):
-        model = knapsack_model([9.0, 6.0, 5.0, 4.0], [8.0, 5.0, 4.0, 3.0], 11.0)
-        lp = solve_lp(model.relaxed())
-        ilp = solve_ilp(model)
-        assert ilp.objective >= lp.objective - 1e-9
+        for network, requests, demands, d_t in tiny_corpus(20):
+            try:
+                ilp = clairvoyant_cost_exact(network, requests, demands, d_t)
+            except RuntimeError:
+                continue  # no integral plan fits
+            assert ilp >= clairvoyant_cost(network, requests, demands, d_t) - 1e-9
 
-    def test_node_limit_respected(self):
-        values = [7.0, 5.0, 6.0, 4.0, 8.0, 3.0, 9.0, 2.0]
-        weights = [6.0, 4.0, 5.0, 3.0, 7.0, 2.0, 8.0, 1.0]
-        model = knapsack_model(values, weights, 17.0)
-        result = solve_ilp(model, node_limit=2)
-        assert result.nodes_explored <= 2
-
-    def test_invalid_node_limit(self):
-        with pytest.raises(ValueError):
-            solve_ilp(LpModel(), node_limit=0)
-
-    def test_gap_zero_when_proven(self):
-        model = knapsack_model([3.0, 2.0], [2.0, 1.0], 2.0)
-        result = solve_ilp(model)
-        assert result.gap == 0.0
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=1.0, max_value=10.0),
-                st.floats(min_value=1.0, max_value=10.0),
-            ),
-            min_size=1,
-            max_size=7,
-        ),
-        st.floats(min_value=1.0, max_value=30.0),
-    )
-    def test_matches_brute_force(self, items, capacity):
-        """B&B must agree with exhaustive enumeration on small knapsacks."""
-        values = [v for v, _ in items]
-        weights = [w for _, w in items]
-        model = knapsack_model(values, weights, capacity)
-        result = solve_ilp(model)
-
-        best = 0.0
-        for mask in range(2 ** len(items)):
-            picked = [(mask >> i) & 1 for i in range(len(items))]
-            weight = sum(w * p for w, p in zip(weights, picked))
-            if weight <= capacity + 1e-9:
-                best = max(best, sum(v * p for v, p in zip(values, picked)))
-        assert result.proven_optimal
-        assert -result.objective == pytest.approx(best, abs=1e-6)
+    def test_matches_brute_force(self):
+        """The proven ILP optimum equals exhaustive enumeration."""
+        compared = skipped_any = 0
+        for network, requests, demands, d_t in tiny_corpus():
+            best, skipped = brute_force_optimum(network, requests, demands, d_t)
+            skipped_any += skipped > 0
+            if np.isinf(best):
+                with pytest.raises(RuntimeError):
+                    clairvoyant_cost_exact(network, requests, demands, d_t)
+                continue
+            exact = clairvoyant_cost_exact(network, requests, demands, d_t)
+            assert exact == pytest.approx(best, rel=1e-9, abs=1e-9)
+            compared += 1
+        # The corpus must exercise both the comparison and the capacity skip.
+        assert compared >= 20
+        assert skipped_any >= 10
 
     def test_solution_satisfies_constraints(self):
-        model = knapsack_model([9.0, 6.0, 5.0], [8.0, 5.0, 4.0], 10.0)
-        result = solve_ilp(model)
-        weight = float(np.dot(result.values, [8.0, 5.0, 4.0]))
-        assert weight <= 10.0 + 1e-9
-        assert all(v in (0.0, 1.0) for v in result.values)
+        for network, requests, demands, d_t in tiny_corpus(20):
+            solver = PerSlotLpSolver(network, requests)
+            try:
+                x, _ = solver.exact_optimum(np.outer(demands, d_t), demands)
+            except RuntimeError:
+                continue
+            np.testing.assert_allclose(x, np.round(x), atol=1e-9)
+            np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
+            loads = (x * demands[:, None]).sum(axis=0) * network.c_unit_mhz
+            assert np.all(loads <= network.capacities_mhz + 1e-6)

@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Assignment,
-    build_caching_model,
     clairvoyant_cost,
     clairvoyant_cost_exact,
     evaluate_assignment,
 )
 from repro.core.candidates import build_candidate_sets, repair_capacity
-from repro.lp.solver import solve_lp
+from repro.core.fastlp import PerSlotLpSolver
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.seeding import RngRegistry
@@ -74,20 +73,15 @@ class TestOptimalityChain:
         seed, n_stations, n_requests = params
         network, requests, demands = make_instance(seed, n_stations, n_requests)
         d_t = network.delays.sample(0)
-        from repro.lp.branch_and_bound import solve_ilp
-
-        model, variables = build_caching_model(
-            network, requests, demands, d_t, integer=True
+        x, objective = PerSlotLpSolver(network, requests).exact_optimum(
+            np.outer(demands, d_t), demands
         )
-        result = solve_ilp(model)
-        assert result.proven_optimal
-        x = variables.x_matrix(result.values)
         stations = [int(np.argmax(x[l])) for l in range(n_requests)]
         plan = Assignment.from_stations(stations, requests)
         cost = evaluate_assignment(plan, network, requests, demands, d_t)
-        # The ILP may cache extra (cost-free only if d_ins were 0), so the
-        # constraint-6-minimal cache of `plan` can only be cheaper.
-        assert cost <= result.objective + 1e-6
+        # The optimum caches exactly what its assignment needs (Eq. 6 with
+        # the smallest y), which is the cache the evaluator charges.
+        assert cost == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
 class TestRoundingProperties:
