@@ -1,10 +1,10 @@
 """Serial-vs-parallel throughput of the repetition engine.
 
 Runs the same 16-repetition, 2-controller study through
-``run_repetitions`` with ``n_jobs=1`` and ``n_jobs=4`` and reports
-wall-clock, runs/second and the speedup, asserting the two paths agree
-bit-for-bit on every seed-determined metric (the engine's core
-guarantee).  The speedup itself is hardware-dependent — on a >=4-core
+``run_repetitions`` with ``RunConfig(jobs=1)`` and ``RunConfig(jobs=4)``
+and reports wall-clock, runs/second and the speedup, asserting the two
+paths agree bit-for-bit on every seed-determined metric (the executor's
+core guarantee).  The speedup itself is hardware-dependent — on a >=4-core
 machine the parallel path is expected to be >=2.5x faster; on fewer
 cores the bit-identity check still runs and the measured numbers are
 reported for the record.
@@ -23,7 +23,7 @@ import pytest
 from repro.core import GreedyController, OlGdController
 from repro.mec import DriftingDelay, MECNetwork
 from repro.mec.requests import Request
-from repro.sim import run_repetitions
+from repro.sim import RunConfig, run_repetitions
 from repro.utils.seeding import RngRegistry
 from repro.workload import ConstantDemandModel
 
@@ -60,22 +60,22 @@ def scenario(rngs: RngRegistry):
     return network, ConstantDemandModel(requests), controllers
 
 
-def _run(n_jobs: int):
+def _run(jobs: int):
     start = time.perf_counter()
     study = run_repetitions(
         scenario,
         seed=SEED,
         repetitions=N_REPETITIONS,
         horizon=HORIZON,
-        n_jobs=n_jobs,
+        config=RunConfig(jobs=jobs),
         n_controllers=2,
     )
     return study, time.perf_counter() - start
 
 
 def test_parallel_throughput():
-    serial, serial_seconds = _run(n_jobs=1)
-    parallel, parallel_seconds = _run(n_jobs=N_JOBS)
+    serial, serial_seconds = _run(jobs=1)
+    parallel, parallel_seconds = _run(jobs=N_JOBS)
     speedup = serial_seconds / parallel_seconds if parallel_seconds > 0 else 0.0
 
     print()

@@ -195,7 +195,7 @@ class ObsDeclaration:
 
 @dataclass(frozen=True)
 class SubmitSite:
-    """One ``<pool>.submit(callable, ...)`` call site.
+    """One ``<pool>.submit`` call site (a callable plus its arguments).
 
     ``callable_kind`` is what the first argument syntactically is:
     ``"lambda"``, ``"nested"`` (a function defined inside the enclosing

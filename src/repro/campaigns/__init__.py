@@ -5,12 +5,10 @@ The campaign layer turns "run this grid of experiments" into data: a
 through the registries — topology, workload, controllers, predictors —
 and a cartesian factor grid over it; :meth:`CampaignSpec.expand`
 deterministically derives one seeded :class:`CampaignCell` per grid
-point; :func:`run_campaign` executes the cells — either sequentially
-per cell or through the campaign-wide work-stealing scheduler
-(:mod:`repro.campaigns.scheduler`, one persistent worker pool over the
-full ``cell × repetition × controller`` grid) — with per-cell
-checkpoint directories, so a killed campaign restarted with
-``resume=True`` re-runs only the missing work; and
+point; :func:`run_campaign` drains every cell's ``repetition ×
+controller`` grid through the one executor of :mod:`repro.sim.parallel`
+with per-cell checkpoint directories, so a killed campaign restarted
+with ``resume=True`` re-runs only the missing work; and
 :mod:`repro.campaigns.report` aggregates the result tree into one
 table/CSV.  CLI front-end: ``repro campaign run|status|report``.
 """
@@ -23,7 +21,6 @@ from repro.campaigns.report import (
     write_campaign_report,
 )
 from repro.campaigns.runner import (
-    SCHEDULERS,
     CampaignResult,
     CampaignStatus,
     CellStatus,
@@ -32,7 +29,6 @@ from repro.campaigns.runner import (
     run_campaign,
 )
 from repro.campaigns.scenario import CampaignScenario, failure_schedule
-from repro.campaigns.scheduler import run_campaign_scheduled
 from repro.campaigns.spec import (
     CampaignCell,
     CampaignError,
@@ -54,7 +50,6 @@ __all__ = [
     "CellStatus",
     "FactorAxis",
     "OutageSpec",
-    "SCHEDULERS",
     "ScenarioSpec",
     "campaign_status",
     "campaign_to_csv",
@@ -64,6 +59,5 @@ __all__ = [
     "load_campaign_toml",
     "render_campaign_report",
     "run_campaign",
-    "run_campaign_scheduled",
     "write_campaign_report",
 ]

@@ -153,16 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="campaign-global worker processes: one persistent pool drains "
-             "the whole (cell x repetition x controller) grid (0 = all "
-             "cores; results are bit-identical for any worker count)",
-    )
-    run_parser.add_argument(
-        "--scheduler", choices=("auto", "global", "cell"), default="auto",
-        help="execution engine: 'global' = one work-stealing pool over "
-             "every cell; 'cell' = legacy sequential cells with per-cell "
-             "pools of --jobs workers; 'auto' (default) picks global "
-             "whenever --jobs resolves to more than one worker",
+        help="worker processes: 1 (default) runs in-process; more share "
+             "one pool that drains every unfinished cell's (repetition x "
+             "controller) grid (0 = all cores; results are bit-identical "
+             "for any worker count)",
     )
     run_parser.add_argument(
         "--resume", action="store_true",
@@ -437,7 +431,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     jobs=args.jobs,
                     resume=args.resume,
                     retries=args.retries,
-                    scheduler=args.scheduler,
                 ),
                 max_cells=args.max_cells,
             )

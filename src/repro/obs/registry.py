@@ -18,8 +18,8 @@ vs. rounding vs. repair vs. arm updates).  Design constraints:
   5% per-slot budget).
 * **Mergeable.**  A registry serialises to a plain-dict
   :meth:`~MetricsRegistry.snapshot` (picklable, JSON-able) and merges
-  additively, which is how :class:`repro.sim.parallel.ParallelRunner`
-  workers report back to the parent process.
+  additively, which is how :func:`repro.sim.parallel.execute_sweeps`'
+  pool workers report back to the parent process.
 
 Typical use::
 

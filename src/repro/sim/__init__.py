@@ -6,7 +6,7 @@ recording the per-slot series the paper's figures plot (average delay,
 controller running time) plus regret and cache-churn diagnostics.
 """
 
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.engine import run_simulation
 from repro.sim.failures import FailureSchedule, run_with_failures
 from repro.sim.metrics import SimulationResult, SlotRecord
@@ -19,11 +19,12 @@ from repro.sim.multirun import (
     run_repetitions,
 )
 from repro.sim.parallel import (
-    ParallelRunner,
     RepetitionFailure,
+    Sweep,
     WorkItem,
     WorkResult,
     build_world,
+    execute_sweeps,
     load_work_result,
     make_worker_pool,
     persist_work_result,
@@ -37,8 +38,6 @@ __all__ = [
     "CheckpointError",
     "RunConfig",
     "SweepManifest",
-    "UNSET",
-    "resolve_run_config",
     "run_simulation",
     "FailureSchedule",
     "run_with_failures",
@@ -48,12 +47,13 @@ __all__ = [
     "PairedComparison",
     "RepetitionStudy",
     "RepetitionFailure",
-    "ParallelRunner",
+    "Sweep",
     "WorkItem",
     "WorkResult",
     "aggregate_work_results",
     "build_world",
     "compare_controllers",
+    "execute_sweeps",
     "load_work_result",
     "make_worker_pool",
     "persist_work_result",

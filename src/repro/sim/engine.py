@@ -33,7 +33,7 @@ from repro.core.assignment import Assignment, SlotEvaluator
 from repro.core.controller import Controller
 from repro.core.optimal import clairvoyant_cost, clairvoyant_cost_exact
 from repro.mec.network import MECNetwork
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationResult, SlotRecord
 from repro.state import (
     SIMULATION_KIND,
@@ -67,7 +67,6 @@ def run_simulation(
     exact_optimal: bool = False,
     metrics: Optional["obs.MetricsRegistry"] = None,
     config: Optional[RunConfig] = None,
-    checkpoint: object = UNSET,
     failures: Optional["FailureSchedule"] = None,
     dtype: DTypeLike = np.float64,
 ) -> SimulationResult:
@@ -92,9 +91,7 @@ def run_simulation(
     reproduces the uninterrupted run's series bit-identically (timing
     columns excepted — wall-clock is re-measured).  The snapshot does
     not pin the horizon, so a run can resume into a longer horizon than
-    it was interrupted at.  The legacy
-    ``checkpoint=CheckpointConfig(...)`` keyword still works but raises
-    a :class:`DeprecationWarning`.
+    it was interrupted at.
 
     ``failures`` applies a :class:`repro.sim.failures.FailureSchedule`
     around each slot: scheduled capacity factors are written to the live
@@ -115,9 +112,7 @@ def run_simulation(
             f"demand model covers {demand_model.n_requests} requests, "
             f"controller expects {controller.n_requests}"
         )
-    run_config = resolve_run_config(
-        "run_simulation", config, {"checkpoint": checkpoint}
-    )
+    checkpoint = config.to_checkpoint_config() if config is not None else None
     with obs.activate(metrics) if metrics is not None else _KEEP_ACTIVE:
         return _run_loop(
             network,
@@ -127,7 +122,7 @@ def run_simulation(
             demands_known,
             compute_optimal,
             exact_optimal,
-            run_config.to_checkpoint_config(),
+            checkpoint,
             failures,
             dtype,
         )

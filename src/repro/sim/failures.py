@@ -27,7 +27,7 @@ from numpy.typing import DTypeLike
 from repro import obs
 from repro.core.controller import Controller
 from repro.mec.network import MECNetwork
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.engine import run_simulation
 from repro.sim.metrics import SimulationResult
 from repro.utils.validation import require_non_negative, require_positive
@@ -129,7 +129,6 @@ def run_with_failures(
     exact_optimal: bool = False,
     metrics: Optional["obs.MetricsRegistry"] = None,
     config: Optional[RunConfig] = None,
-    checkpoint: object = UNSET,
     dtype: DTypeLike = np.float64,
 ) -> SimulationResult:
     """Like :func:`repro.sim.run_simulation`, with per-slot failures applied.
@@ -143,9 +142,7 @@ def run_with_failures(
     Delegates to the shared :func:`repro.sim.run_simulation` loop, so
     every engine feature — obs spans, ``compute_optimal``, prediction-MAE
     tracking, checkpoint/resume via ``config``, the ``dtype`` knob —
-    works under failures too.  The legacy
-    ``checkpoint=CheckpointConfig(...)`` keyword is a deprecated alias
-    for ``config=RunConfig(checkpoint_dir=..., ...)``.
+    works under failures too.
     """
     return run_simulation(
         network,
@@ -156,9 +153,7 @@ def run_with_failures(
         compute_optimal=compute_optimal,
         exact_optimal=exact_optimal,
         metrics=metrics,
-        config=resolve_run_config(
-            "run_with_failures", config, {"checkpoint": checkpoint}
-        ),
+        config=config,
         failures=failures,
         dtype=dtype,
     )

@@ -7,10 +7,10 @@ normal-approximation confidence interval, plus a paired comparison helper
 (:func:`compare_controllers`) that reports whether one controller beats
 another consistently across seeds (sign test + paired mean difference).
 
-Execution is delegated to :class:`repro.sim.parallel.ParallelRunner`:
-``n_jobs=1`` (default) runs in-process, ``n_jobs>1`` fans the
+Execution is one sweep of the executor in :mod:`repro.sim.parallel`:
+``jobs=1`` (default) runs in-process, ``jobs>1`` fans the
 ``(repetition, controller)`` grid over a process pool with bit-identical
-results (see :mod:`repro.sim.parallel` for the determinism argument).
+results (see that module for the determinism argument).
 Crashed repetitions are recorded in :attr:`RepetitionStudy.failures` and
 excluded from the summaries instead of killing the study.
 """
@@ -27,14 +27,16 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.obs import MetricsRegistry
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.failures import FailureSchedule
 from repro.sim.metrics import SimulationResult
 from repro.sim.parallel import (
-    ParallelRunner,
     RepetitionFailure,
     ScenarioBuilder,
+    Sweep,
     WorkResult,
+    execute_sweeps,
+    resolve_n_jobs,
 )
 from repro.utils.validation import require_open_probability, require_positive
 
@@ -248,12 +250,10 @@ def aggregate_work_results(
     """Aggregate a stream of work items into a :class:`RepetitionStudy`.
 
     The single summarisation path shared by :func:`run_repetitions` and
-    the campaign-wide scheduler (:mod:`repro.campaigns.scheduler`):
-    whoever executed the ``(repetition, controller)`` grid, the same
-    per-controller metric summaries (``mean_delay_ms``,
-    ``mean_decision_s``, ``total_churn``) come out of the same work-item
-    stream — which is what makes scheduler summaries bit-identical to the
-    sequential path's.  ``work_results`` may arrive in any order; items
+    :func:`repro.campaigns.run_campaign`: the same per-controller metric
+    summaries (``mean_delay_ms``, ``mean_decision_s``, ``total_churn``)
+    come out of the same work-item stream whatever the worker count.
+    ``work_results`` may arrive in any order; items
     are sorted into the serial ``(repetition, controller)`` iteration
     order first.  Failed items are recorded in the study's ``failures``
     and excluded; when *every* item failed, a :class:`RuntimeError`
@@ -362,12 +362,6 @@ def run_repetitions(
     config: Optional[RunConfig] = None,
     n_controllers: Optional[int] = None,
     failures: Optional[FailureSchedule] = None,
-    n_jobs: object = UNSET,
-    collect_metrics: object = UNSET,
-    max_retries: object = UNSET,
-    checkpoint_dir: object = UNSET,
-    checkpoint_every: object = UNSET,
-    resume: object = UNSET,
 ) -> RepetitionStudy:
     """Run ``build`` across ``repetitions`` seeds and aggregate metrics.
 
@@ -377,46 +371,26 @@ def run_repetitions(
     ``mean_delay_ms``, ``mean_decision_s``, ``total_churn``.
 
     ``config`` (a :class:`repro.sim.RunConfig`) carries the execution
-    knobs — one spelling shared with every other entry point:
+    knobs; the grid runs as one sweep of
+    :func:`repro.sim.parallel.execute_sweeps`, which documents them:
 
-    * ``jobs`` selects the execution mode: ``1`` (default) runs
-      in-process, anything else fans the ``(repetition, controller)``
-      grid over a process pool (``None``/``0`` = all cores, negative =
-      joblib-style count-back) with bit-identical summaries.  The
-      builder must be picklable for ``jobs != 1``.
-    * ``collect_metrics`` is a tri-state: ``True`` records
-      :mod:`repro.obs` telemetry per work item and attaches the merged
-      aggregate (``study.metrics``) and the per-worker breakdown
-      (``study.worker_metrics``, keyed by executing pid) to the study —
-      rendered by :meth:`RepetitionStudy.metrics_table`; ``None``
-      (default) auto-enables collection when a registry is active in
-      the calling process; ``False`` keeps collection off
-      unconditionally, active registry or not.
-    * ``retries`` re-executes crashed work items (bounded rounds, fresh
-      workers) before recording them as failures; ``checkpoint_dir`` /
-      ``resume`` persist completed items so an interrupted sweep
-      restarted with ``resume=True`` executes only the missing
-      repetitions, and ``checkpoint_every`` adds slot-level snapshots
-      inside each item — all passed through to
-      :meth:`repro.sim.parallel.ParallelRunner.run`, which documents
-      the exact semantics.
+    * ``jobs``: ``1`` (default) runs in-process, more fan the
+      ``(repetition, controller)`` grid over a process pool with
+      bit-identical summaries (the builder must then be picklable);
+    * ``collect_metrics``: ``True`` attaches the merged telemetry
+      (``study.metrics``) and its per-worker breakdown
+      (``study.worker_metrics``, keyed by pid), ``None`` (default) does
+      so when a registry is active, ``False`` never does;
+    * ``retries``, ``checkpoint_dir``, ``checkpoint_every``, ``resume``:
+      bounded re-runs of crashed items, and persistence so a sweep
+      restarted with ``resume=True`` runs only its missing items.
 
-    The pre-``RunConfig`` keywords (``n_jobs``, ``collect_metrics``,
-    ``max_retries``, ``checkpoint_dir``, ``checkpoint_every``,
-    ``resume``) still work but raise :class:`DeprecationWarning`; mixing
-    them with ``config=`` is a :class:`TypeError`.
-
-    ``n_controllers`` (optional) skips the probe build the pool path
-    otherwise needs to size its work grid.
-
-    A repetition that raises is recorded in the study's ``failures`` with
-    its traceback and excluded from the summaries; the count is logged.
-
-    ``failures`` applies one scripted
-    :class:`~repro.sim.failures.FailureSchedule` (station outages /
-    capacity degradations) inside every repetition's run.
+    ``n_controllers`` (optional) sizes the grid without building a world
+    (see :class:`repro.sim.parallel.Sweep`).  ``failures`` applies one
+    scripted :class:`~repro.sim.failures.FailureSchedule` inside every
+    repetition's run.  A crashed item is recorded in the study's
+    ``failures`` with its traceback and excluded from the summaries.
     """
-    require_positive("repetitions", repetitions)
     require_positive("horizon", horizon)
     require_open_probability("confidence", confidence)
     if skip_warmup is None:
@@ -425,37 +399,29 @@ def run_repetitions(
         raise ValueError(
             f"skip_warmup ({skip_warmup}) must be below horizon ({horizon})"
         )
-    run_config = resolve_run_config(
-        "run_repetitions",
-        config,
-        {
-            "n_jobs": n_jobs,
-            "collect_metrics": collect_metrics,
-            "max_retries": max_retries,
-            "checkpoint_dir": checkpoint_dir,
-            "checkpoint_every": checkpoint_every,
-            "resume": resume,
-        },
-    )
-
-    runner = ParallelRunner(n_jobs=run_config.jobs)
+    config = config if config is not None else RunConfig()
+    workers = resolve_n_jobs(config.jobs)
     wall_start = time.perf_counter()
-    work_results: List[WorkResult] = runner.run(
-        build,
-        seed=seed,
-        repetitions=repetitions,
-        horizon=horizon,
-        demands_known=demands_known,
-        n_controllers=n_controllers,
+    [work_results] = execute_sweeps(
+        [
+            Sweep(
+                build,
+                seed,
+                repetitions,
+                horizon,
+                demands_known=demands_known,
+                failures=failures,
+                directory=config.checkpoint_dir,
+                n_controllers=n_controllers,
+            )
+        ],
+        jobs=workers,
+        retries=config.retries,
         # Tri-state forwarded verbatim: an explicit False must stay off
-        # even when a parent obs registry is active (the old
-        # ``collect_metrics or None`` silently re-enabled it).
-        collect_metrics=run_config.collect_metrics,
-        failures=failures,
-        max_retries=run_config.retries,
-        checkpoint_dir=run_config.checkpoint_dir,
-        checkpoint_every=run_config.checkpoint_every,
-        resume=run_config.resume,
+        # even when a parent obs registry is active.
+        collect_metrics=config.collect_metrics,
+        checkpoint_every=config.checkpoint_every,
+        resume=config.resume,
     )
     wall_clock = time.perf_counter() - wall_start
     return aggregate_work_results(
@@ -464,7 +430,7 @@ def run_repetitions(
         repetitions=repetitions,
         confidence=confidence,
         skip_warmup=skip_warmup,
-        n_jobs=runner.n_jobs,
+        n_jobs=workers,
         wall_clock_seconds=wall_clock,
     )
 

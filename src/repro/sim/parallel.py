@@ -1,45 +1,61 @@
-"""Process-parallel repetition execution (the many-seed evaluation engine).
+"""The one executor for repetition grids.
 
-Every figure in the paper is an average over 80 independently seeded
-topologies (§VI), and the serial loop in :mod:`repro.sim.multirun` was the
-single biggest wall-clock cost of regenerating them.  This module fans the
-``(repetition, controller)`` grid of a repetition study out over a
-:class:`concurrent.futures.ProcessPoolExecutor` while keeping the results
-**bit-identical** to the serial path:
+Every figure in the paper averages one setting over many independently
+seeded topologies (§VI).  A :class:`Sweep` is one such study, and
+:func:`execute_sweeps` is the only code that runs one: ``run_repetitions``,
+the figure code and ``run_campaign`` all hand it their sweeps.  It drains
+them as ``(sweep, repetition)`` units — the world is built once and every
+missing controller runs on it — longest expected cost first.
 
-* every repetition derives its own :class:`~repro.utils.seeding.RngRegistry`
-  via ``RngRegistry(seed).child(f"rep{r}")`` — the worker rebuilds the
-  repetition's world from that registry, and because all delay/demand
-  realisations are slot-keyed (functions of ``(seed, slot)`` only, never of
-  sampling order) a rebuilt world realises exactly the same trajectories as
-  the shared serial world;
-* each controller reads its own named stream from the registry, so running
-  controller ``j`` alone in a worker consumes exactly the state it would
-  have consumed in the serial loop.
+* **Determinism.**  Repetition ``r`` builds its world from
+  :func:`repetition_registry`; delay/demand realisations are slot-keyed
+  and every controller reads its own named stream.  So results are
+  bit-identical for any worker count and any grouping of items.
+* **One pool.**  ``jobs > 1`` submits every unit to one persistent pool,
+  so an idle worker takes the next unit whichever sweep it belongs to.
+  ``jobs == 1`` runs the same units in the same order in-process, with
+  no pickling, and items inherit the parent's trace writer.
+* **World cache.**  Each pool worker keeps a small LRU of worlds keyed by
+  the sweep's builder and seed, reused only for controllers that have
+  not run on it (controllers are stateful).  The parent never fills it:
+  forked workers would inherit it.
+* **Failures.**  Errors are captured per item as failed results.
+  ``retries`` re-runs failed items on the same pool, replacing it if a
+  worker died; with ``retries=0`` pool errors propagate.
+* **Persistence.**  A sweep with a ``directory`` writes a manifest and
+  each completed item as it lands; ``resume`` loads them back after an
+  identity check.  ``checkpoint_every`` adds slot-level snapshots under
+  ``<directory>/slots/``, deleted once their item completes.
 
-Failure semantics: a repetition that raises is captured as a
-:class:`RepetitionFailure` (message + traceback + work-item coordinates)
-and excluded from aggregation instead of killing the study; the caller
-logs the count.  Hard worker deaths (segfault, OOM-kill) still propagate
-as :class:`concurrent.futures.process.BrokenProcessPool` — those are
-infrastructure errors, not scenario errors.
-
-The scenario builder must be picklable (a module-level function, a
-``functools.partial`` of one, or an instance of a picklable callable
-class) because it is shipped to worker processes.
+Builders must be picklable for ``jobs > 1``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import multiprocessing
 import os
+import pickle
+import sys
 import time
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.core.controller import Controller
@@ -50,7 +66,6 @@ from repro.sim.failures import FailureSchedule
 from repro.sim.metrics import SimulationResult
 from repro.state import (
     WORK_RESULT_KIND,
-    CheckpointConfig,
     SweepManifest,
     completed_items,
     finalise_controllers,
@@ -65,17 +80,17 @@ from repro.workload.demand import DemandModel
 __all__ = [
     "ScenarioBuilder",
     "World",
+    "Sweep",
     "WorkItem",
     "WorkResult",
     "RepetitionFailure",
-    "ParallelRunner",
+    "execute_sweeps",
     "resolve_n_jobs",
     "repetition_registry",
     "build_world",
     "run_item_on_world",
     "persist_work_result",
     "load_work_result",
-    "controller_names_from_results",
     "make_worker_pool",
 ]
 
@@ -93,8 +108,8 @@ World = Tuple[MECNetwork, DemandModel, List[Controller]]
 #: Environment marker set (via :func:`_mark_pool_worker`) in every process
 #: a repro-owned pool spawns.  :func:`resolve_n_jobs` reads it to refuse
 #: nested parallelism: code running inside a worker that forwards its own
-#: ``n_jobs`` would otherwise multiply processes (campaign-wide workers ×
-#: per-cell workers) and oversubscribe the machine.
+#: ``jobs`` would otherwise multiply processes and oversubscribe the
+#: machine.
 _POOL_WORKER_ENV = "REPRO_POOL_WORKER"
 
 
@@ -105,12 +120,7 @@ def _mark_pool_worker() -> None:
 
 def make_worker_pool(n_workers: int) -> ProcessPoolExecutor:
     """A fork-preferring process pool whose workers carry the nested-
-    parallelism marker (see :func:`resolve_n_jobs`).
-
-    All repro-owned pools — :class:`ParallelRunner`'s per-sweep pool and
-    the campaign-wide scheduler's persistent pool — are created through
-    this factory so the oversubscription guard holds everywhere.
-    """
+    parallelism marker (see :func:`resolve_n_jobs`)."""
     require_positive("n_workers", n_workers)
     return ProcessPoolExecutor(
         max_workers=n_workers,
@@ -122,14 +132,14 @@ def make_worker_pool(n_workers: int) -> ProcessPoolExecutor:
 def repetition_registry(seed: int, repetition: int) -> RngRegistry:
     """The canonical per-repetition registry: ``child(f"rep{r}")``.
 
-    Both the serial and the parallel paths derive repetition worlds through
-    this single helper, which is what makes their results bit-identical.
+    Every world is derived through this single helper, which is what makes
+    results independent of where and in which grouping items run.
     """
     return RngRegistry(seed=seed).child(f"rep{repetition}")
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Normalise an ``n_jobs`` request to a concrete worker count.
+    """Normalise a worker-count request to a concrete worker count.
 
     ``None`` or ``0`` means "all cores"; negative values count back from
     the core count joblib-style (``-1`` == all cores, ``-2`` == all but
@@ -155,6 +165,39 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
         )
         return 1
     return resolved
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One repetition study: ``repetitions`` seeded worlds of ``build``,
+    every controller of each run for ``horizon`` slots.
+
+    ``failures`` applies one scripted outage schedule inside every item
+    (it is part of the scenario); ``directory`` enables persistence and
+    resume.  ``n_controllers``, when known, sizes the grid without a
+    build: a resumed repetition whose items are all on disk is skipped,
+    and a build crash is reported once per controller.  When unknown, a
+    build crash is reported as one failed item.  ``weight`` is a per-slot
+    cost proxy (e.g. the request count); it only orders the queue.
+    """
+
+    build: ScenarioBuilder
+    seed: int
+    repetitions: int
+    horizon: int
+    demands_known: bool = True
+    failures: Optional[FailureSchedule] = None
+    directory: Optional[Union[str, Path]] = None
+    n_controllers: Optional[int] = None
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        require_positive("repetitions", self.repetitions)
+        require_positive("horizon", self.horizon)
+        if self.n_controllers is not None:
+            require_positive("n_controllers", self.n_controllers)
+        if self.directory is not None:
+            object.__setattr__(self, "directory", Path(self.directory))
 
 
 @dataclass(frozen=True)
@@ -217,35 +260,33 @@ class WorkResult:
         )
 
 
-def _item_checkpoint(
-    sweep_dir: Optional[Path], item: WorkItem, every: Optional[int]
-) -> Optional[CheckpointConfig]:
-    """Per-item engine checkpoint config (slot-level snapshots).
+def _failed(
+    repetition: int,
+    controller_index: int,
+    name: Optional[str] = None,
+    pid: int = 0,
+) -> WorkResult:
+    """The failed :class:`WorkResult` of the exception being handled.
 
-    Each work item gets its own snapshot directory so identically-named
-    controllers in different repetitions cannot collide.  ``resume`` is
-    always on: a fresh item simply has no snapshot to pick up, while a
-    retried or restarted item continues from its last completed slots
-    instead of replaying the whole horizon.
+    The single exception-to-result conversion: item crashes, build
+    crashes and pool errors all go through it.
     """
-    if sweep_dir is None or every is None:
-        return None
-    return CheckpointConfig(
-        directory=sweep_dir
-        / "slots"
-        / f"rep{item.repetition:05d}-ctrl{item.controller_index:03d}",
-        every_n_slots=every,
-        resume=True,
+    exc = sys.exc_info()[1]
+    return WorkResult(
+        repetition=repetition,
+        controller_index=controller_index,
+        controller_name=name,
+        result=None,
+        error=f"{type(exc).__name__}: {exc}",
+        error_traceback=traceback.format_exc(),
+        wall_seconds=0.0,
+        cpu_seconds=0.0,
+        pid=pid,
     )
 
 
 def build_world(build: ScenarioBuilder, seed: int, repetition: int) -> World:
-    """Build one repetition's world from its canonical registry.
-
-    Thin composition of ``build`` with :func:`repetition_registry`; both
-    execution paths (per-item rebuilds and shared-world batches) go
-    through it, so a world is always derived the same way.
-    """
+    """Build one repetition's world from its canonical registry."""
     return build(repetition_registry(seed, repetition))
 
 
@@ -256,26 +297,18 @@ def run_item_on_world(
     *,
     demands_known: bool = True,
     collect_metrics: bool = False,
-    checkpoint: Optional[CheckpointConfig] = None,
+    config: Optional[RunConfig] = None,
     failures: Optional[FailureSchedule] = None,
     trace: Optional["obs.TraceWriter"] = None,
 ) -> WorkResult:
     """Run one controller of an already-built world; never raises.
 
-    The reusable core of every execution path: all exceptions are
-    converted to a failed :class:`WorkResult` so one bad item cannot kill
-    a study.  Because world realisations are slot-keyed and controller
-    streams name-keyed, running item ``j`` on a shared world build is
-    observationally identical to running it on a fresh rebuild — which is
-    what lets callers batch several items of one repetition onto one
-    build.  With ``collect_metrics`` the item records into a fresh
-    :class:`repro.obs.MetricsRegistry` whose snapshot rides back on the
-    :class:`WorkResult` (plain dict — picklable); ``trace`` threads a
-    parent trace writer into that registry (in-process callers only:
-    writers are not picklable).  ``checkpoint`` enables the engine's
-    slot-level snapshots for this item (see :func:`_item_checkpoint`);
-    the snapshot is deleted once the item completes — the persisted work
-    result is the durable artifact.
+    Exceptions become a failed :class:`WorkResult`.  With
+    ``collect_metrics`` the item records into a fresh
+    :class:`repro.obs.MetricsRegistry` whose snapshot (a picklable dict)
+    rides back on the result; ``trace`` threads a parent trace writer
+    into it (in-process only: writers do not pickle).  ``config`` enables
+    slot-level snapshots, deleted once the item completes.
     """
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
@@ -285,86 +318,40 @@ def run_item_on_world(
         network, demand_model, controllers = world
         controller = controllers[item.controller_index]
         name = controller.name
-        result: Optional[SimulationResult] = run_simulation(
+        result = run_simulation(
             network,
             demand_model,
             controller,
             horizon=horizon,
             demands_known=demands_known,
             metrics=registry,
-            config=RunConfig.from_checkpoint_config(checkpoint),
+            config=config,
             failures=failures,
         )
+        checkpoint = config.to_checkpoint_config() if config else None
         if checkpoint is not None:
-            snapshot = checkpoint.path_for(controller.name)
-            if snapshot.exists():
-                snapshot.unlink()
-        error = None
-        error_tb = None
-    except Exception as exc:  # noqa: BLE001 — graceful degradation by design
-        result = None
-        error = f"{type(exc).__name__}: {exc}"
-        error_tb = traceback.format_exc()
-    return WorkResult(
-        repetition=item.repetition,
-        controller_index=item.controller_index,
-        controller_name=name,
-        result=result,
-        error=error,
-        error_traceback=error_tb,
+            checkpoint.path_for(controller.name).unlink(missing_ok=True)
+    except Exception:  # noqa: BLE001 — graceful degradation by design
+        outcome = _failed(
+            item.repetition, item.controller_index, name, os.getpid()
+        )
+    else:
+        outcome = WorkResult(
+            repetition=item.repetition,
+            controller_index=item.controller_index,
+            controller_name=name,
+            result=result,
+            error=None,
+            error_traceback=None,
+            wall_seconds=0.0,
+            cpu_seconds=0.0,
+            pid=os.getpid(),
+        )
+    return replace(
+        outcome,
         wall_seconds=time.perf_counter() - wall_start,
         cpu_seconds=time.process_time() - cpu_start,
         metrics=registry.snapshot() if registry is not None else None,
-        pid=os.getpid(),
-    )
-
-
-def _execute_work_item(
-    build: ScenarioBuilder,
-    seed: int,
-    item: WorkItem,
-    horizon: int,
-    demands_known: bool,
-    collect_metrics: bool = False,
-    checkpoint: Optional[CheckpointConfig] = None,
-    failures: Optional[FailureSchedule] = None,
-) -> WorkResult:
-    """Rebuild the repetition's world and run one controller over it.
-
-    The pool path's per-item entry point: :func:`build_world` +
-    :func:`run_item_on_world`, with the build time folded into the item's
-    wall/CPU accounting (each item pays its own rebuild here).  A build
-    crash is reported as a failed :class:`WorkResult` for this item.
-    """
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    try:
-        world = build_world(build, seed, item.repetition)
-    except Exception as exc:  # noqa: BLE001 — graceful degradation by design
-        return WorkResult(
-            repetition=item.repetition,
-            controller_index=item.controller_index,
-            controller_name=None,
-            result=None,
-            error=f"{type(exc).__name__}: {exc}",
-            error_traceback=traceback.format_exc(),
-            wall_seconds=time.perf_counter() - wall_start,
-            cpu_seconds=time.process_time() - cpu_start,
-            pid=os.getpid(),
-        )
-    item_result = run_item_on_world(
-        world,
-        item,
-        horizon,
-        demands_known=demands_known,
-        collect_metrics=collect_metrics,
-        checkpoint=checkpoint,
-        failures=failures,
-    )
-    return replace(
-        item_result,
-        wall_seconds=time.perf_counter() - wall_start,
-        cpu_seconds=time.process_time() - cpu_start,
     )
 
 
@@ -418,373 +405,435 @@ def load_work_result(
     )
 
 
-def controller_names_from_results(
-    results: Sequence[WorkResult],
-) -> Dict[int, str]:
-    """Controller index -> name mapping learned from successful items.
-
-    Input shape for :func:`repro.state.finalise_controllers`: names are
-    only trusted from items that completed (a failed item may not have
-    reached controller construction).
-    """
-    names: Dict[int, str] = {}
-    for item in results:
-        if item.ok and item.controller_name is not None:
-            names.setdefault(item.controller_index, item.controller_name)
-    return names
+# --------------------------------------------------------------------- #
+# Units: what one worker (or the parent, at jobs=1) executes
+# --------------------------------------------------------------------- #
 
 
-class ParallelRunner:
-    """Fan a repetition study's work items over a process pool.
+@dataclass(frozen=True)
+class _Unit:
+    """The missing items of one ``(sweep, repetition)``.
 
-    Parameters
-    ----------
-    n_jobs:
-        Worker processes.  ``1`` executes in-process (no pool, no pickling
-        requirement on the builder); ``None``/``0`` uses every core;
-        negative counts back from the core count.  See
-        :func:`resolve_n_jobs`.
-
-    The runner is stateless across :meth:`run` calls and safe to reuse.
+    Self-contained and picklable: a worker needs nothing else to build
+    the world and run every controller index not in ``skip``.
     """
 
-    def __init__(self, n_jobs: Optional[int] = 1):
-        self.n_jobs = resolve_n_jobs(n_jobs)
+    sweep_index: int
+    sweep: Sweep
+    repetition: int
+    skip: FrozenSet[int]
+    collect_metrics: bool
+    checkpoint_every: Optional[int]
+    #: World-cache key (builder + seed digest); ``None`` in-process.
+    world_key: Optional[str] = None
 
-    # ------------------------------------------------------------------ #
+    def indices(self, world: World) -> List[int]:
+        return [i for i in range(len(world[2])) if i not in self.skip]
 
-    def run(
-        self,
-        build: ScenarioBuilder,
-        seed: int,
-        repetitions: int,
-        horizon: int,
-        *,
-        demands_known: bool = True,
-        n_controllers: Optional[int] = None,
-        collect_metrics: Optional[bool] = None,
-        failures: Optional[FailureSchedule] = None,
-        max_retries: int = 0,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: Optional[int] = None,
-        resume: bool = False,
-    ) -> List[WorkResult]:
-        """Execute the full repetition × controller grid.
+    def expected_items(self) -> int:
+        """Items this unit runs, as far as is known before the build."""
+        if self.sweep.n_controllers is None:
+            return 1
+        return self.sweep.n_controllers - len(self.skip)
 
-        Returns one :class:`WorkResult` per work item, sorted by
-        ``(repetition, controller_index)`` — the serial iteration order —
-        regardless of completion order.  ``n_controllers`` skips the probe
-        build when the caller already knows the controller count (building
-        a scenario can be expensive, e.g. GAN pretraining).
 
-        ``collect_metrics`` attaches a per-item telemetry snapshot to every
-        :class:`WorkResult` (see :mod:`repro.obs`).  The default ``None``
-        auto-enables collection when a registry is active in the calling
-        process (e.g. the CLI's ``--metrics-out``); item snapshots are then
-        also merged into that registry, so parent-side telemetry works the
-        same for serial and pooled execution.  An explicit ``False`` keeps
-        collection off even under an active registry.
-
-        ``failures`` applies one scripted
-        :class:`~repro.sim.failures.FailureSchedule` inside every work
-        item's simulation (scripted outages are part of the scenario, so
-        the same schedule runs in every repetition; it must be picklable
-        for the pool path).
-
-        ``max_retries`` bounds crash-tolerant retry rounds: after a round,
-        every failed item is re-executed — in the pool path on the *same*
-        persistent pool (a broken pool, surfacing as
-        ``BrokenProcessPool``, is replaced by a fresh one so hard worker
-        deaths are retried too), in the serial path by rebuilding the
-        repetition's world.  Because worlds are slot-keyed and controller
-        streams name-keyed, a retried item reproduces exactly the result
-        an untroubled first attempt would have had.  With the default
-        ``0``, pool infrastructure errors propagate as before and
-        scenario failures stay recorded.
-
-        ``checkpoint_dir`` persists every completed item as a
-        ``work-result`` snapshot next to a sweep manifest (see
-        :mod:`repro.state.manifest`); ``resume=True`` loads the completed
-        items back (after a manifest identity check) and executes only the
-        missing ones, reproducing the uninterrupted study's statistics.
-        ``checkpoint_every`` additionally turns on the engine's slot-level
-        snapshots inside each item (every N completed slots, under
-        ``<checkpoint_dir>/slots/``), so a killed or retried item resumes
-        mid-horizon instead of replaying from slot 0; it requires
-        ``checkpoint_dir``.
-        """
-        require_positive("repetitions", repetitions)
-        require_positive("horizon", horizon)
-        require_non_negative("max_retries", max_retries)
-        if checkpoint_every is not None:
-            require_positive("checkpoint_every", checkpoint_every)
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires checkpoint_dir")
-        parent_registry = obs.active_registry()
-        if collect_metrics is None:
-            collect_metrics = parent_registry is not None
-        sweep_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-
-        by_key: Dict[Tuple[int, int], WorkResult] = {}
-        manifest: Optional[SweepManifest] = None
-        if sweep_dir is not None:
-            manifest = SweepManifest(
-                seed=int(seed),
-                repetitions=int(repetitions),
-                horizon=int(horizon),
-                demands_known=bool(demands_known),
-            )
-            if resume and SweepManifest.exists(sweep_dir):
-                SweepManifest.read(sweep_dir).require_compatible(manifest)
-                for (r, c), _path in sorted(completed_items(sweep_dir).items()):
-                    if r < repetitions:
-                        by_key[(r, c)] = load_work_result(sweep_dir, r, c)
-            manifest.write(sweep_dir)
-        done: Set[Tuple[int, int]] = set(by_key)
-
-        pool: Optional[ProcessPoolExecutor] = None
-        pool_ok = True
-        try:
-            if self.n_jobs == 1:
-                executed = self._run_serial(
-                    build, seed, range(repetitions), horizon, demands_known,
-                    collect_metrics, done, sweep_dir, checkpoint_every,
-                    failures=failures,
-                )
-            else:
-                if n_controllers is None:
-                    n_controllers = self._probe_controller_count(build, seed)
-                require_positive("n_controllers", n_controllers)
-                items = [
-                    WorkItem(repetition=r, controller_index=c)
-                    for r in range(repetitions)
-                    for c in range(n_controllers)
-                    if (r, c) not in done
-                ]
-                if items:
-                    pool = make_worker_pool(min(self.n_jobs, len(items)))
-                    executed, pool_ok = self._run_pool_items(
-                        pool, build, seed, items, horizon, demands_known,
-                        collect_metrics, sweep_dir, checkpoint_every,
-                        capture_pool_errors=max_retries > 0, failures=failures,
-                    )
-                else:
-                    executed = []
-            for item in executed:
-                by_key[(item.repetition, item.controller_index)] = item
-
-            for _round in range(max_retries):
-                failed = [r for r in by_key.values() if not r.ok]
-                if not failed:
-                    break
-                obs.inc("sim.retries", len(failed))
-                if self.n_jobs == 1:
-                    # A serial build crash loses the whole repetition, so retry
-                    # at repetition granularity, skipping items already done.
-                    repetitions_to_retry = sorted({f.repetition for f in failed})
-                    done_now = {k for k, r in by_key.items() if r.ok}
-                    retried = self._run_serial(
-                        build, seed, repetitions_to_retry, horizon,
-                        demands_known, collect_metrics, done_now, sweep_dir,
-                        checkpoint_every, failures=failures,
-                    )
-                else:
-                    retry_items = [
-                        WorkItem(
-                            repetition=f.repetition,
-                            controller_index=f.controller_index,
-                        )
-                        for f in failed
-                    ]
-                    # Retries reuse the persistent pool; only a broken one
-                    # (hard worker death) is torn down and replaced.
-                    if pool is None or not pool_ok:
-                        if pool is not None:
-                            pool.shutdown(wait=False)
-                        pool = make_worker_pool(
-                            min(self.n_jobs, len(retry_items))
-                        )
-                        pool_ok = True
-                    retried, pool_ok = self._run_pool_items(
-                        pool, build, seed, retry_items, horizon, demands_known,
-                        collect_metrics, sweep_dir, checkpoint_every,
-                        capture_pool_errors=True, failures=failures,
-                    )
-                for item in retried:
-                    by_key[(item.repetition, item.controller_index)] = item
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        results = sorted(
-            by_key.values(), key=lambda r: (r.repetition, r.controller_index)
-        )
-        if sweep_dir is not None and manifest is not None:
-            self._finalise_manifest(sweep_dir, manifest, results)
-        if parent_registry is not None and collect_metrics:
-            for item in results:
-                if item.metrics is not None:
-                    parent_registry.merge(
-                        obs.MetricsRegistry.from_snapshot(item.metrics)
-                    )
-        return results
-
-    @staticmethod
-    def _finalise_manifest(
-        sweep_dir: Path, manifest: SweepManifest, results: List[WorkResult]
-    ) -> None:
-        """Record controller names in the manifest once they are known."""
-        finalise_controllers(
-            sweep_dir, manifest, controller_names_from_results(results)
+def _unit_items(
+    unit: _Unit, world: World, trace: Optional["obs.TraceWriter"] = None
+) -> Iterator[WorkResult]:
+    """Run every queued controller of ``unit`` on ``world``, lazily."""
+    sweep = unit.sweep
+    for index in unit.indices(world):
+        item = WorkItem(repetition=unit.repetition, controller_index=index)
+        yield run_item_on_world(
+            world,
+            item,
+            sweep.horizon,
+            demands_known=sweep.demands_known,
+            collect_metrics=unit.collect_metrics,
+            config=_item_config(sweep.directory, item, unit.checkpoint_every),
+            failures=sweep.failures,
+            trace=trace,
         )
 
-    def _run_pool_items(
-        self,
-        pool: ProcessPoolExecutor,
-        build: ScenarioBuilder,
-        seed: int,
-        items: Sequence[WorkItem],
-        horizon: int,
-        demands_known: bool,
-        collect_metrics: bool,
-        sweep_dir: Optional[Path],
-        checkpoint_every: Optional[int],
-        capture_pool_errors: bool,
-        failures: Optional[FailureSchedule] = None,
-    ) -> Tuple[List[WorkResult], bool]:
-        """Execute ``items`` on the given pool, persisting as they land.
 
-        Returns ``(results, pool_ok)``; ``pool_ok`` is ``False`` when a
-        submission failed at the pool level (``BrokenProcessPool``), which
-        tells the caller to replace the pool before the next round.  With
-        ``capture_pool_errors`` such failures are converted into failed
-        :class:`WorkResult` items instead of propagating, so a retry
-        round can resubmit them.
+def _unit_failures(unit: _Unit, pid: int = 0) -> Tuple[WorkResult, ...]:
+    """Every item of ``unit``, failed with the exception being handled.
+
+    Without a known controller count the line-up is unknowable once the
+    build crashed, so the unit reports its first missing item only.
+    """
+    n_controllers = unit.sweep.n_controllers
+    if n_controllers is None:
+        first = min(set(range(len(unit.skip) + 1)) - unit.skip)
+        return (_failed(unit.repetition, first, pid=pid),)
+    return tuple(
+        _failed(unit.repetition, index, pid=pid)
+        for index in range(n_controllers)
+        if index not in unit.skip
+    )
+
+
+def _item_config(
+    directory: Optional[Path], item: WorkItem, every: Optional[int]
+) -> Optional[RunConfig]:
+    """Per-item slot-level snapshots, or ``None`` when off.
+
+    One directory per item, so same-named controllers of different
+    repetitions never collide; ``resume`` is always on, so a retried or
+    restarted item continues from its last snapshot.
+    """
+    if directory is None or every is None:
+        return None
+    return RunConfig(
+        checkpoint_dir=directory
+        / "slots"
+        / f"rep{item.repetition:05d}-ctrl{item.controller_index:03d}",
+        checkpoint_every=every,
+        resume=True,
+    )
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What a pool worker sends back for one unit."""
+
+    results: Tuple[WorkResult, ...]
+    #: True when the worker served the world from its cache.
+    cache_hit: bool
+
+
+#: Worlds kept per worker process.  Small on purpose: a world holds the
+#: full topology, requests and controller line-up, and units of one sweep
+#: arrive together, so capacity beyond a few sweeps buys nothing.
+_WORLD_CACHE_CAPACITY = 4
+
+
+@dataclass
+class _CachedWorld:
+    """One cached build plus the controller indices already run on it."""
+
+    repetition: int
+    world: World
+    used: Set[int]
+
+
+_WORLD_CACHE: "OrderedDict[str, _CachedWorld]" = OrderedDict()
+
+
+def _cached_world(unit: _Unit) -> Tuple[World, bool]:
+    """The unit's world, from this worker's cache when reusable.
+
+    A cached build is only reusable for controller indices that have not
+    run on it yet: controllers are stateful, and re-running one on a
+    world it already consumed would continue from mutated state instead
+    of reproducing a fresh run (the retry path hits exactly this).
+    """
+    key = unit.world_key
+    entry = _WORLD_CACHE.get(key)
+    if entry is not None and entry.repetition == unit.repetition:
+        indices = unit.indices(entry.world)
+        if not entry.used.intersection(indices):
+            entry.used.update(indices)
+            # _WORLD_CACHE is *designed* as per-worker state: each pool
+            # process keeps its own LRU of world builds, and outcomes are
+            # pure functions of the unit, so divergence between workers'
+            # caches cannot change results.
+            # repro: allow[MP002] -- intentional per-worker world-build LRU
+            _WORLD_CACHE.move_to_end(key)
+            return entry.world, True
+    sweep = unit.sweep
+    world = build_world(sweep.build, sweep.seed, unit.repetition)
+    # repro: allow[MP002] -- intentional per-worker world cache, see above
+    _WORLD_CACHE[key] = _CachedWorld(
+        unit.repetition, world, set(unit.indices(world))
+    )
+    # repro: allow[MP002] -- intentional per-worker world cache, see above
+    _WORLD_CACHE.move_to_end(key)
+    while len(_WORLD_CACHE) > _WORLD_CACHE_CAPACITY:
+        # repro: allow[MP002] -- intentional per-worker world cache, see above
+        _WORLD_CACHE.popitem(last=False)
+    return world, False
+
+
+def _pool_unit(unit: _Unit) -> _Outcome:
+    """Pool entry point: run one unit on a single world build; never raises.
+
+    A build crash fails every item of the unit; item-level errors are
+    captured per item, so one bad controller cannot take its siblings down.
+    """
+    try:
+        world, cache_hit = _cached_world(unit)
+    except Exception:  # noqa: BLE001 — reported per item, never fatal
+        return _Outcome(_unit_failures(unit, os.getpid()), cache_hit=False)
+    return _Outcome(tuple(_unit_items(unit, world)), cache_hit)
+
+
+def _in_process(
+    unit: _Unit, trace: Optional["obs.TraceWriter"]
+) -> Iterator[WorkResult]:
+    """Run one unit in the calling process, yielding items as they finish.
+
+    Builds a fresh world (the parent never touches the world cache) and
+    threads the parent's trace writer into every item.
+    """
+    try:
+        world = build_world(unit.sweep.build, unit.sweep.seed, unit.repetition)
+    except Exception:  # noqa: BLE001 — reported per item, never fatal
+        return iter(_unit_failures(unit, os.getpid()))
+    return _unit_items(unit, world, trace)
+
+
+def _world_key(sweep: Sweep) -> str:
+    """Cache identity of a sweep's worlds: its builder and seed by value.
+
+    A digest of the pickled pair, so two sweeps share cached worlds only
+    when they would build identical ones (equal cell ids with different
+    seeds or builders never collide).
+    """
+    payload = pickle.dumps((sweep.build, sweep.seed))
+    return hashlib.sha256(payload).hexdigest()
+
+
+# --------------------------------------------------------------------- #
+# Parent side
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class _Plan:
+    """Parent-side execution state of one sweep."""
+
+    index: int
+    sweep: Sweep
+    manifest: Optional[SweepManifest] = None
+    #: World-cache key of the sweep (pool runs only).
+    world_key: Optional[str] = None
+    #: (repetition, controller_index) -> latest result; starts with the
+    #: items loaded back on resume and grows as units land.
+    results: Dict[Tuple[int, int], WorkResult] = field(default_factory=dict)
+    #: Units submitted and not yet returned.
+    pending: int = 0
+    finished: bool = False
+
+    def sorted_results(self) -> List[WorkResult]:
+        return [self.results[key] for key in sorted(self.results)]
+
+    def units(
+        self, retry: bool, collect_metrics: bool, checkpoint_every: Optional[int]
+    ) -> List[_Unit]:
+        """This sweep's units, repetition-major.
+
+        First round: every repetition not already complete on disk.
+        Retry round: every repetition holding a failed item, skipping the
+        items that succeeded.
         """
-        if not items:
-            return [], True
-        results: List[WorkResult] = []
-        pool_ok = True
-        futures = {
-            pool.submit(
-                _execute_work_item,
-                build,
-                seed,
-                item,
-                horizon,
-                demands_known,
-                collect_metrics,
-                _item_checkpoint(sweep_dir, item, checkpoint_every),
-                failures,
-            ): item
-            for item in items
-        }
-        for future in as_completed(futures):
-            item = futures[future]
-            if capture_pool_errors:
-                try:
-                    work_result = future.result()
-                except Exception as exc:  # noqa: BLE001 — retried next round
-                    pool_ok = False
-                    work_result = WorkResult(
-                        repetition=item.repetition,
-                        controller_index=item.controller_index,
-                        controller_name=None,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_traceback=traceback.format_exc(),
-                        wall_seconds=0.0,
-                        cpu_seconds=0.0,
-                        pid=0,
-                    )
-            else:
-                work_result = future.result()
-            if sweep_dir is not None and work_result.ok:
-                persist_work_result(sweep_dir, work_result)
-            results.append(work_result)
-        return results, pool_ok
-
-    # ------------------------------------------------------------------ #
-
-    def _run_serial(
-        self,
-        build: ScenarioBuilder,
-        seed: int,
-        repetition_indices: Sequence[int],
-        horizon: int,
-        demands_known: bool,
-        collect_metrics: bool,
-        done: Set[Tuple[int, int]],
-        sweep_dir: Optional[Path],
-        checkpoint_every: Optional[int] = None,
-        failures: Optional[FailureSchedule] = None,
-    ) -> List[WorkResult]:
-        """In-process execution, one world build per repetition.
-
-        Produces the same :class:`WorkResult` stream as the pool path:
-        world realisations are slot-keyed and controller streams are
-        name-keyed, so sharing one build across a repetition's controllers
-        is observationally identical to rebuilding per controller.  Each
-        item still gets its own telemetry registry, so the per-item
-        snapshots match the pool path's — but in-process the registries
-        inherit the parent's trace writer (pool workers cannot: writers
-        are not picklable), so a serial run yields a complete trace.
-        """
-        parent = obs.active_registry()
-        trace = parent.trace if parent is not None else None
-        results: List[WorkResult] = []
-        for repetition in repetition_indices:
-            wall_start = time.perf_counter()
-            cpu_start = time.process_time()
-            try:
-                world = build_world(build, seed, repetition)
-            except Exception as exc:  # noqa: BLE001
-                # The whole repetition is lost; report it as one failed
-                # item (the pool path reports one per controller, but the
-                # controller count is unknowable when build() crashes).
-                results.append(
-                    WorkResult(
-                        repetition=repetition,
-                        controller_index=0,
-                        controller_name=None,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_traceback=traceback.format_exc(),
-                        wall_seconds=time.perf_counter() - wall_start,
-                        cpu_seconds=time.process_time() - cpu_start,
-                        pid=os.getpid(),
-                    )
-                )
-                continue
-            for index in range(len(world[2])):
-                if (repetition, index) in done:
+        by_repetition: Dict[int, Dict[int, WorkResult]] = {}
+        for (repetition, index), result in self.results.items():
+            by_repetition.setdefault(repetition, {})[index] = result
+        n_controllers = self.sweep.n_controllers
+        units = []
+        for repetition in range(self.sweep.repetitions):
+            items = by_repetition.get(repetition, {})
+            ok = frozenset(i for i, result in items.items() if result.ok)
+            if retry:
+                if len(ok) == len(items):
                     continue
-                item = WorkItem(repetition=repetition, controller_index=index)
-                work_result = run_item_on_world(
-                    world,
-                    item,
-                    horizon,
-                    demands_known=demands_known,
+            elif n_controllers is not None and len(ok) >= n_controllers:
+                continue
+            units.append(
+                _Unit(
+                    sweep_index=self.index,
+                    sweep=self.sweep,
+                    repetition=repetition,
+                    skip=ok,
                     collect_metrics=collect_metrics,
-                    checkpoint=_item_checkpoint(
-                        sweep_dir, item, checkpoint_every
-                    ),
-                    failures=failures,
-                    trace=trace,
+                    checkpoint_every=checkpoint_every,
+                    world_key=self.world_key,
                 )
-                if sweep_dir is not None and work_result.ok:
-                    persist_work_result(sweep_dir, work_result)
-                results.append(work_result)
-        return results
+            )
+        return units
 
-    @staticmethod
-    def _probe_controller_count(build: ScenarioBuilder, seed: int) -> int:
-        """Build repetition 0 once, in-parent, to size the work grid."""
-        rngs = repetition_registry(seed, 0)
-        _, _, controllers = build(rngs)
-        if not controllers:
-            raise ValueError("scenario builder returned no controllers")
-        return len(controllers)
+
+def _open_plan(index: int, sweep: Sweep, resume: bool) -> _Plan:
+    """Write the sweep's manifest and, on resume, load its persisted items."""
+    plan = _Plan(index=index, sweep=sweep)
+    directory = sweep.directory
+    if directory is None:
+        return plan
+    plan.manifest = SweepManifest(
+        seed=int(sweep.seed),
+        repetitions=int(sweep.repetitions),
+        horizon=int(sweep.horizon),
+        demands_known=bool(sweep.demands_known),
+    )
+    if resume and SweepManifest.exists(directory):
+        previous = SweepManifest.read(directory)
+        previous.require_compatible(plan.manifest)
+        if sweep.n_controllers is None and previous.controllers is not None:
+            plan.sweep = replace(sweep, n_controllers=len(previous.controllers))
+        for (r, c), _path in sorted(completed_items(directory).items()):
+            if r < sweep.repetitions:
+                plan.results[(r, c)] = load_work_result(directory, r, c)
+    plan.manifest.write(directory)
+    return plan
+
+
+def _ordered_units(
+    plans: Sequence[_Plan],
+    retry: bool,
+    collect_metrics: bool,
+    checkpoint_every: Optional[int],
+) -> List[_Unit]:
+    """All units of the unfinished plans, longest expected cost first."""
+    queued = []
+    for plan in plans:
+        if plan.finished:
+            continue
+        units = plan.units(retry, collect_metrics, checkpoint_every)
+        items = sum(unit.expected_items() for unit in units)
+        cost = float(items * plan.sweep.horizon * plan.sweep.weight)
+        queued.append((-cost, plan.index, units))
+    queued.sort(key=lambda entry: entry[:2])
+    return [unit for _, _, units in queued for unit in units]
+
+
+def execute_sweeps(
+    sweeps: Sequence[Sweep],
+    *,
+    jobs: int = 1,
+    retries: int = 0,
+    collect_metrics: Optional[bool] = None,
+    checkpoint_every: Optional[int] = None,
+    resume: bool = False,
+    on_complete: Optional[Callable[[int, List[WorkResult]], None]] = None,
+) -> List[List[WorkResult]]:
+    """Drain ``sweeps`` (see the module docstring); one result list each.
+
+    ``jobs`` is a concrete worker count (see :func:`resolve_n_jobs`).
+    Each returned list holds one :class:`WorkResult` per item, sorted by
+    ``(repetition, controller_index)`` whatever the completion order.
+
+    ``collect_metrics`` is a tri-state: ``True`` attaches a per-item
+    telemetry snapshot to every result, ``False`` keeps collection off,
+    and ``None`` turns it on when a registry is active in the calling
+    process.  Item snapshots are merged into that active registry as they
+    land, so parent-side telemetry is the same at any worker count.
+
+    ``on_complete(index, results)`` is called once per sweep, as soon as
+    its grid is complete and clean, or after the last retry round for a
+    sweep that kept failures.  ``checkpoint_every`` requires every sweep
+    to have a directory.
+    """
+    require_positive("jobs", jobs)
+    require_non_negative("retries", retries)
+    if checkpoint_every is not None:
+        require_positive("checkpoint_every", checkpoint_every)
+        if any(sweep.directory is None for sweep in sweeps):
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+    parent_registry = obs.active_registry()
+    if collect_metrics is None:
+        collect_metrics = parent_registry is not None
+    trace = parent_registry.trace if parent_registry is not None else None
+    plans = [_open_plan(i, sweep, resume) for i, sweep in enumerate(sweeps)]
+    if jobs > 1:
+        for plan in plans:
+            plan.world_key = _world_key(plan.sweep)
+
+    def complete(plan: _Plan) -> None:
+        results = plan.sorted_results()
+        if plan.manifest is not None and plan.sweep.directory is not None:
+            # Record controller names, trusted only from completed items.
+            names = {r.controller_index: r.controller_name for r in results if r.ok}
+            finalise_controllers(plan.sweep.directory, plan.manifest, names)
+        plan.finished = True
+        if on_complete is not None:
+            on_complete(plan.index, results)
+
+    def land(plan: _Plan, item: WorkResult) -> None:
+        if plan.sweep.directory is not None and item.ok:
+            persist_work_result(plan.sweep.directory, item)
+        if parent_registry is not None and item.metrics is not None:
+            parent_registry.merge(obs.MetricsRegistry.from_snapshot(item.metrics))
+        plan.results[(item.repetition, item.controller_index)] = item
+
+    def unit_done(plan: _Plan) -> None:
+        plan.pending -= 1
+        obs.gauge(
+            "campaign.cells_in_flight", sum(1 for p in plans if p.pending > 0)
+        )
+        # A clean sweep completes the moment its last unit lands; one
+        # carrying failures waits for the retry rounds to amend it.
+        if plan.pending == 0 and all(r.ok for r in plan.results.values()):
+            complete(plan)
+
+    pool: Optional[ProcessPoolExecutor] = None
+    pool_ok = True
+    last_sweep_by_pid: Dict[int, int] = {}
+    try:
+        for round_index in range(retries + 1):
+            retry = round_index > 0
+            units = _ordered_units(plans, retry, collect_metrics, checkpoint_every)
+            if not units:
+                break
+            if retry:
+                obs.inc(
+                    "sim.retries",
+                    sum(
+                        not result.ok
+                        for plan in plans
+                        if not plan.finished
+                        for result in plan.results.values()
+                    ),
+                )
+            else:
+                obs.inc("campaign.units_dispatched", len(units))
+            for unit in units:
+                plans[unit.sweep_index].pending += 1
+            if jobs == 1:
+                for unit in units:
+                    obs.inc("campaign.world_cache_misses")
+                    for item in _in_process(unit, trace):
+                        land(plans[unit.sweep_index], item)
+                    unit_done(plans[unit.sweep_index])
+                continue
+            if pool is None or not pool_ok:
+                if pool is not None:
+                    pool.shutdown(wait=False)
+                pool = make_worker_pool(min(jobs, len(units)))
+                pool_ok = True
+            futures = {pool.submit(_pool_unit, unit): unit for unit in units}
+            for future in as_completed(futures):
+                unit = futures[future]
+                try:
+                    outcome = future.result()
+                except Exception:  # noqa: BLE001 — retried next round
+                    if retries == 0:
+                        raise
+                    pool_ok = False
+                    outcome = _Outcome(_unit_failures(unit), cache_hit=False)
+                pid = outcome.results[0].pid if outcome.results else 0
+                if pid:
+                    previous = last_sweep_by_pid.get(pid)
+                    if previous is not None and previous != unit.sweep_index:
+                        obs.inc("campaign.items_stolen", len(outcome.results))
+                    last_sweep_by_pid[pid] = unit.sweep_index
+                if outcome.cache_hit:
+                    obs.inc("campaign.world_cache_hits")
+                else:
+                    obs.inc("campaign.world_cache_misses")
+                for item in outcome.results:
+                    land(plans[unit.sweep_index], item)
+                unit_done(plans[unit.sweep_index])
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+    # Sweeps not completed above: those with nothing left to run and
+    # those that kept failures past the retry budget.
+    for plan in plans:
+        if not plan.finished:
+            complete(plan)
+    return [plan.sorted_results() for plan in plans]
 
 
 def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:

@@ -1,8 +1,9 @@
 """Checkpoint policy for a single simulation run.
 
-:class:`CheckpointConfig` is what callers hand to
-``repro.sim.run_simulation(..., checkpoint=...)``: a directory, a save
-cadence and a resume switch.  The engine owns *what* goes into the
+:class:`CheckpointConfig` is the single-run checkpoint policy that
+``repro.sim.RunConfig.to_checkpoint_config`` derives for
+``repro.sim.run_simulation``: a directory, a save cadence and a resume
+switch.  The engine owns *what* goes into the
 snapshot (controller state, demand-model identity, the per-slot record
 series); this module owns *where* it lives and how often it is written,
 and stays import-free of the simulation stack so every layer can depend

@@ -1,7 +1,7 @@
 """Sweep manifests: resumable ``(repetition, controller)`` grids.
 
 A repetition sweep (``repro.sim.run_repetitions`` /
-``ParallelRunner.run``) with a checkpoint directory persists every
+``repro.sim.parallel.execute_sweeps``) with a directory persists every
 completed work item as its own ``work-result`` snapshot next to a small
 ``manifest.json`` that pins the sweep's identity — seed, repetitions,
 horizon, demand setting and (once known) the controller names, which

@@ -1,25 +1,29 @@
-"""Tests for the campaign-wide work-stealing scheduler.
+"""Campaign execution through the one repetition-grid executor.
 
-The acceptance properties of the global-scheduler issue live here:
+The acceptance properties pinned here:
 
-- a campaign drained by the global pool produces byte-identical
-  ``summary.json`` files to the sequential per-cell path (including over
-  the shipped ``examples/campaigns/smoke.toml`` grid);
-- kill/resume keeps working at both grains (whole cells and partial
-  cells) under the global pool, and the stitched result equals an
-  uninterrupted run byte-for-byte;
+- a campaign drained by a pool produces byte-identical ``summary.json``
+  files to the in-process run (including over the shipped
+  ``examples/campaigns/smoke.toml`` grid);
+- kill/resume at *every* boundary — each cell boundary and each item
+  boundary inside a cell — stitches back to the uninterrupted tree byte
+  for byte, at one and two workers;
+- the per-worker world cache is keyed by builder and seed, never filled
+  in the parent, so sweeps with equal cell ids but different seeds stay
+  independent;
 - a hard-crashing work item fails only its own cell: the campaign
   completes and the failure is recorded on the right cell's summary;
-- ``max_retries`` re-runs crashed items on the persistent pool (a retry
+- ``retries`` re-runs crashed items on the persistent pool (a retry
   that succeeds leaves no failure behind);
 - nested parallelism is clamped: ``resolve_n_jobs`` inside a pool worker
   resolves to 1 with a warning;
-- the scheduler surfaces its telemetry (units dispatched, world-cache
+- the executor surfaces its telemetry (units dispatched, world-cache
   hits/misses, cells completed) on the active obs registry.
 """
 
 import dataclasses
 import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +37,18 @@ from repro.campaigns import (
     cell_directory,
     load_campaign_toml,
     run_campaign,
-    run_campaign_scheduled,
 )
 from repro.campaigns.runner import read_cell_summary
+from repro.campaigns.scenario import CampaignScenario
 from repro.core.greedy import GreedyController
 from repro.core.registry import CONTROLLERS, register_controller
+from repro.sim import RunConfig, Sweep, execute_sweeps, parallel
 from repro.sim.parallel import _POOL_WORKER_ENV, resolve_n_jobs
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
 
 # Same deliberately tiny world as test_campaigns.py: two cells, two
-# repetitions, two controllers -> an 8-item global grid.
+# repetitions, two controllers -> an 8-item grid.
 TINY = dict(
     controllers=("OL_GD", "Greedy_GD"),
     horizon=3,
@@ -64,6 +69,12 @@ def tiny_spec(**overrides) -> CampaignSpec:
     )
     fields.update(overrides)
     return CampaignSpec(**fields)
+
+
+def run(spec, out_dir, jobs=1, max_cells=None, **config):
+    return run_campaign(
+        spec, out_dir, config=RunConfig(jobs=jobs, **config), max_cells=max_cells
+    )
 
 
 def summary_bytes(out_dir: Path, spec: CampaignSpec) -> dict:
@@ -121,59 +132,40 @@ def flaky_registered():
 
 
 class TestBitEquality:
-    def test_global_equals_cell_scheduler_bytes(self, tmp_path):
-        spec = tiny_spec()
-        serial = run_campaign(
-            spec, tmp_path / "serial", scheduler="cell", n_jobs=1
-        )
-        pooled = run_campaign(
-            spec, tmp_path / "pooled", scheduler="global", n_jobs=2
-        )
-        assert serial.complete and pooled.complete
-        assert summary_bytes(tmp_path / "serial", spec) == summary_bytes(
-            tmp_path / "pooled", spec
-        )
-
     def test_smoke_example_equals_serial_bytes(self, tmp_path):
         # The shipped CI smoke grid, scaled to one repetition for speed.
         spec = dataclasses.replace(
             load_campaign_toml(EXAMPLES / "smoke.toml"), repetitions=1
         )
-        run_campaign(spec, tmp_path / "serial", scheduler="cell", n_jobs=1)
-        run_campaign_scheduled(spec, tmp_path / "pooled", n_jobs=2)
+        run(spec, tmp_path / "serial", jobs=1)
+        run(spec, tmp_path / "pooled", jobs=2)
         assert summary_bytes(tmp_path / "serial", spec) == summary_bytes(
             tmp_path / "pooled", spec
         )
 
-    def test_auto_routes_multi_worker_runs_to_global(self, tmp_path):
-        spec = tiny_spec()
-        auto = run_campaign(spec, tmp_path / "auto", n_jobs=2)
-        serial = run_campaign(
-            spec, tmp_path / "serial", scheduler="cell", n_jobs=1
-        )
-        assert auto.complete and serial.complete
-        assert summary_bytes(tmp_path / "auto", spec) == summary_bytes(
-            tmp_path / "serial", spec
-        )
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The smoke campaign and its uninterrupted in-process result tree."""
+    spec = load_campaign_toml(EXAMPLES / "smoke.toml")
+    out = tmp_path_factory.mktemp("smoke") / "uncut"
+    assert run(spec, out).complete
+    return spec, out
 
 
 class TestResume:
     def test_kill_and_resume_whole_cells(self, tmp_path):
         spec = tiny_spec()
-        killed = run_campaign_scheduled(
-            spec, tmp_path / "camp", n_jobs=2, max_cells=1
-        )
+        killed = run(spec, tmp_path / "camp", jobs=2, max_cells=1)
         assert len(killed.executed) == 1 and len(killed.remaining) == 1
         assert not killed.complete
 
-        resumed = run_campaign_scheduled(
-            spec, tmp_path / "camp", n_jobs=2, resume=True
-        )
+        resumed = run(spec, tmp_path / "camp", jobs=2, resume=True)
         assert resumed.executed == killed.remaining
         assert resumed.skipped == killed.executed
         assert resumed.complete
 
-        fresh = run_campaign_scheduled(spec, tmp_path / "fresh", n_jobs=2)
+        fresh = run(spec, tmp_path / "fresh", jobs=2)
         assert fresh.complete
         assert summary_bytes(tmp_path / "camp", spec) == summary_bytes(
             tmp_path / "fresh", spec
@@ -181,7 +173,7 @@ class TestResume:
 
     def test_partial_cell_resumes_missing_items_only(self, tmp_path):
         spec = tiny_spec()
-        run_campaign_scheduled(spec, tmp_path / "camp", n_jobs=2)
+        run(spec, tmp_path / "camp", jobs=2)
         # Simulate a kill mid-cell: drop one cell's summary plus one of
         # its persisted items; resume must re-enter through the sweep
         # manifest and re-run exactly the missing item.
@@ -190,16 +182,80 @@ class TestResume:
         snapshots = sorted(victim.glob("rep*-ctrl*.npz"))
         snapshots[0].unlink()
 
-        resumed = run_campaign_scheduled(
-            spec, tmp_path / "camp", n_jobs=2, resume=True
-        )
+        resumed = run(spec, tmp_path / "camp", jobs=2, resume=True)
         assert resumed.complete
         assert resumed.executed == (spec.expand()[0].cell_id,)
 
-        fresh = run_campaign_scheduled(spec, tmp_path / "fresh", n_jobs=2)
+        fresh = run(spec, tmp_path / "fresh", jobs=2)
         assert summary_bytes(tmp_path / "camp", spec) == summary_bytes(
             tmp_path / "fresh", spec
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("max_cells", [0, 1, 2, 3, 4])
+    def test_resume_at_every_cell_boundary(self, smoke, tmp_path, max_cells, jobs):
+        spec, uncut = smoke
+        killed = run(spec, tmp_path / "camp", jobs=jobs, max_cells=max_cells)
+        assert len(killed.executed) == max_cells
+        resumed = run(spec, tmp_path / "camp", jobs=jobs, resume=True)
+        assert resumed.complete
+        assert len(resumed.executed) == len(spec.expand()) - max_cells
+        assert summary_bytes(tmp_path / "camp", spec) == summary_bytes(
+            uncut, spec
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kept", [0, 1, 2, 3, 4])
+    def test_resume_at_every_item_boundary(self, smoke, tmp_path, kept, jobs):
+        spec, uncut = smoke
+        camp = tmp_path / "camp"
+        shutil.copytree(uncut, camp)
+        victim = cell_directory(camp, spec.expand()[0].cell_id)
+        items = sorted(victim.glob("rep*-ctrl*.npz"))
+        assert len(items) == 4  # 2 repetitions x 2 controllers
+        for item in items[kept:]:
+            item.unlink()
+        (victim / "summary.json").unlink()
+
+        resumed = run(spec, camp, jobs=jobs, resume=True)
+        assert resumed.executed == (spec.expand()[0].cell_id,)
+        assert len(list(victim.glob("rep*-ctrl*.npz"))) == 4
+        assert summary_bytes(camp, spec) == summary_bytes(uncut, spec)
+
+
+class TestWorldCacheIsolation:
+    def test_equal_cell_ids_with_different_seeds(self, tmp_path):
+        a, b = tiny_spec(seed=11), tiny_spec(seed=12)
+        assert [c.cell_id for c in a.expand()] == [c.cell_id for c in b.expand()]
+        standalone = {}
+        for name, spec in (("a", a), ("b", b)):
+            run(spec, tmp_path / f"{name}-alone")
+            standalone[name] = summary_bytes(tmp_path / f"{name}-alone", spec)
+        assert standalone["a"] != standalone["b"]
+        # Back to back in one process: in-process first, then pooled.
+        for jobs in (1, 2):
+            for name, spec in (("a", a), ("b", b)):
+                out = tmp_path / f"{name}-j{jobs}"
+                run(spec, out, jobs=jobs)
+                assert summary_bytes(out, spec) == standalone[name], (name, jobs)
+        assert not parallel._WORLD_CACHE  # the parent never fills it
+
+    def test_one_pool_keeps_same_named_sweeps_apart(self):
+        cell = tiny_spec().expand()[0]
+        sweeps = [
+            Sweep(CampaignScenario(cell.scenario), seed, 2, cell.scenario.horizon)
+            for seed in (11, 12, 11)
+        ]
+        alone = [execute_sweeps([sweep])[0] for sweep in sweeps]
+        together = execute_sweeps(sweeps, jobs=2)
+        for solo, mixed in zip(alone, together):
+            assert [w.result.delays_ms.tolist() for w in solo] == [
+                w.result.delays_ms.tolist() for w in mixed
+            ]
+        assert alone[0][0].result.delays_ms.tolist() != (
+            alone[1][0].result.delays_ms.tolist()
+        )
+        assert not parallel._WORLD_CACHE
 
 
 class TestFailureHandling:
@@ -210,7 +266,7 @@ class TestFailureHandling:
             )
         )
         crashy_index = 1
-        result = run_campaign_scheduled(spec, tmp_path / "camp", n_jobs=2)
+        result = run(spec, tmp_path / "camp", jobs=2)
         # The campaign completes: the crash fails its own items, nothing
         # else, and every cell still gets a summary.
         assert result.complete
@@ -243,9 +299,7 @@ class TestFailureHandling:
                 }
             ),
         )
-        result = run_campaign_scheduled(
-            spec, tmp_path / "camp", n_jobs=2, max_retries=1
-        )
+        result = run(spec, tmp_path / "camp", jobs=2, retries=1)
         assert result.complete
         for cell in spec.expand():
             summary = read_cell_summary(
@@ -274,7 +328,7 @@ class TestTelemetry:
         registry = obs.MetricsRegistry()
         spec = tiny_spec()
         with obs.activate(registry):
-            run_campaign_scheduled(spec, tmp_path / "camp", n_jobs=2)
+            run(spec, tmp_path / "camp", jobs=2)
         counters = registry.counters
         # 2 cells x 2 repetitions, dispatched as (cell, repetition) units.
         assert counters["campaign.units_dispatched"] == 4
@@ -292,8 +346,8 @@ class TestTelemetry:
 def test_unit_grouping_is_invisible_in_results(tmp_path):
     """One worker vs many: any unit interleaving yields the same bytes."""
     spec = tiny_spec()
-    one = run_campaign_scheduled(spec, tmp_path / "one", n_jobs=1)
-    many = run_campaign_scheduled(spec, tmp_path / "many", n_jobs=4)
+    one = run(spec, tmp_path / "one", jobs=1)
+    many = run(spec, tmp_path / "many", jobs=4)
     assert one.complete and many.complete
     assert summary_bytes(tmp_path / "one", spec) == summary_bytes(
         tmp_path / "many", spec
@@ -306,7 +360,7 @@ def test_failed_items_never_persist_snapshots(tmp_path, crashy_registered):
             **{**TINY, "controllers": ("Greedy_GD", "Crashy")}
         )
     )
-    run_campaign_scheduled(spec, tmp_path / "camp", n_jobs=2)
+    run(spec, tmp_path / "camp", jobs=2)
     broken = cell_directory(tmp_path / "camp", "n_stations=12")
     # Only Greedy_GD's items (controller index 0) reached the tree.
     names = sorted(p.name for p in broken.glob("rep*-ctrl*.npz"))
@@ -314,9 +368,9 @@ def test_failed_items_never_persist_snapshots(tmp_path, crashy_registered):
 
 
 def test_numpy_state_unaffected_by_scheduler(tmp_path):
-    """The scheduler must not touch the global numpy RNG."""
+    """The executor must not touch the global numpy RNG."""
     np.random.seed(123)  # repro: allow[DET002] -- the global RNG is the test subject
     before = np.random.get_state()[1].copy()  # repro: allow[DET002] -- inspecting, not drawing
-    run_campaign_scheduled(tiny_spec(), tmp_path / "camp", n_jobs=2)
+    run(tiny_spec(), tmp_path / "camp", jobs=2)
     after = np.random.get_state()[1]  # repro: allow[DET002] -- inspecting, not drawing
     assert (before == after).all()

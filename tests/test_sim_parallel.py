@@ -1,6 +1,7 @@
-"""Tests for the process-parallel repetition engine (repro.sim.parallel)."""
+"""Tests for the repetition-grid executor (repro.sim.parallel)."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from repro.core import GreedyController, OlGdController, PriorityController
 from repro.mec import DriftingDelay, MECNetwork
 from repro.mec.requests import Request
-from repro.sim import ParallelRunner, resolve_n_jobs, run_repetitions
-from repro.sim.parallel import WorkItem, _execute_work_item, repetition_registry
+from repro.sim import RunConfig, Sweep, execute_sweeps, resolve_n_jobs, run_repetitions
+from repro.sim.parallel import repetition_registry
 from repro.utils.seeding import RngRegistry
 from repro.workload import ConstantDemandModel
 
@@ -77,6 +78,18 @@ def always_crashing_scenario(rngs: RngRegistry):
     raise ValueError("nothing to build")
 
 
+class CountingScenario:
+    """Picklable builder that leaves one marker file per world build."""
+
+    def __init__(self, directory):
+        self.directory = str(directory)
+
+    def __call__(self, rngs: RngRegistry):
+        fd, _ = tempfile.mkstemp(dir=self.directory)
+        os.close(fd)
+        return scenario(rngs)
+
+
 class TestResolveNJobs:
     def test_literal_positive(self):
         assert resolve_n_jobs(1) == 1
@@ -101,7 +114,8 @@ class TestBitIdentity:
     def test_parallel_matches_serial_summaries(self):
         serial = run_repetitions(scenario, seed=101, repetitions=4, horizon=6)
         parallel = run_repetitions(
-            scenario, seed=101, repetitions=4, horizon=6, n_jobs=2
+            scenario, seed=101, repetitions=4, horizon=6,
+            config=RunConfig(jobs=2),
         )
         assert set(serial.summaries) == set(parallel.summaries) == {
             "OL_GD",
@@ -117,7 +131,8 @@ class TestBitIdentity:
     def test_parallel_matches_serial_raw_series(self):
         serial = run_repetitions(scenario, seed=103, repetitions=2, horizon=5)
         parallel = run_repetitions(
-            scenario, seed=103, repetitions=2, horizon=5, n_jobs=2
+            scenario, seed=103, repetitions=2, horizon=5,
+            config=RunConfig(jobs=2),
         )
         for controller in serial.raw:
             for rep_serial, rep_parallel in zip(
@@ -131,8 +146,14 @@ class TestBitIdentity:
                 )
 
     def test_worker_count_does_not_change_results(self):
-        two = run_repetitions(scenario, seed=107, repetitions=3, horizon=4, n_jobs=2)
-        three = run_repetitions(scenario, seed=107, repetitions=3, horizon=4, n_jobs=3)
+        two = run_repetitions(
+            scenario, seed=107, repetitions=3, horizon=4,
+            config=RunConfig(jobs=2),
+        )
+        three = run_repetitions(
+            scenario, seed=107, repetitions=3, horizon=4,
+            config=RunConfig(jobs=3),
+        )
         for controller in two.summaries:
             for metric in DETERMINISTIC_METRICS:
                 assert (
@@ -164,7 +185,7 @@ class TestFailureReporting:
             seed=CRASH_STUDY_SEED,
             repetitions=4,
             horizon=4,
-            n_jobs=2,
+            config=RunConfig(jobs=2),
         )
         assert study.n_failed == 1
         assert study.failures[0].repetition == CRASH_REPETITION
@@ -189,7 +210,8 @@ class TestFailureReporting:
 class TestTimingAccounting:
     def test_study_records_execution_accounting(self):
         study = run_repetitions(
-            scenario, seed=109, repetitions=2, horizon=4, n_jobs=2
+            scenario, seed=109, repetitions=2, horizon=4,
+            config=RunConfig(jobs=2),
         )
         assert study.n_jobs == 2
         assert study.wall_clock_seconds > 0
@@ -219,7 +241,8 @@ class TestTelemetryMerge:
 
     def test_serial_study_collects_metrics(self):
         study = run_repetitions(
-            scenario, seed=127, repetitions=2, horizon=3, collect_metrics=True
+            scenario, seed=127, repetitions=2, horizon=3,
+            config=RunConfig(collect_metrics=True),
         )
         assert study.metrics is not None
         # 2 reps x 2 controllers x 3 slots, every slot counted exactly once.
@@ -232,15 +255,15 @@ class TestTelemetryMerge:
 
     def test_parallel_aggregate_identical_to_serial(self):
         serial = run_repetitions(
-            scenario, seed=131, repetitions=3, horizon=4, collect_metrics=True
+            scenario, seed=131, repetitions=3, horizon=4,
+            config=RunConfig(collect_metrics=True),
         )
         parallel = run_repetitions(
             scenario,
             seed=131,
             repetitions=3,
             horizon=4,
-            n_jobs=2,
-            collect_metrics=True,
+            config=RunConfig(jobs=2, collect_metrics=True),
         )
         # Deterministic telemetry (counters, histogram observation counts)
         # is identical in aggregate regardless of worker count; only the
@@ -261,12 +284,8 @@ class TestTelemetryMerge:
         assert total == parallel.metrics.counter("sim.slots")
 
     def test_work_items_carry_snapshots(self):
-        runner = ParallelRunner(n_jobs=1)
-        work = runner.run(
-            scenario,
-            seed=127,
-            repetitions=1,
-            horizon=3,
+        [work] = execute_sweeps(
+            [Sweep(scenario, seed=127, repetitions=1, horizon=3)],
             collect_metrics=True,
         )
         assert all(w.metrics is not None for w in work)
@@ -293,53 +312,84 @@ class TestTelemetryMerge:
         registry = obs.MetricsRegistry()
         with obs.activate(registry):
             run_repetitions(
-                scenario, seed=127, repetitions=2, horizon=3, n_jobs=2
+                scenario, seed=127, repetitions=2, horizon=3,
+                config=RunConfig(jobs=2),
             )
         assert registry.counter("sim.slots") == 12
 
 
-class TestParallelRunner:
+class TestExecuteSweeps:
     def test_results_sorted_by_grid_position(self):
-        runner = ParallelRunner(n_jobs=2)
-        work = runner.run(scenario, seed=113, repetitions=3, horizon=3)
+        [work] = execute_sweeps(
+            [Sweep(scenario, seed=113, repetitions=3, horizon=3)], jobs=2
+        )
         coords = [(w.repetition, w.controller_index) for w in work]
         assert coords == [(r, c) for r in range(3) for c in range(2)]
 
-    def test_probe_counts_controllers(self):
-        assert ParallelRunner._probe_controller_count(scenario, seed=113) == 2
-
-    def test_execute_work_item_in_process(self):
-        result = _execute_work_item(
-            scenario,
-            seed=113,
-            item=WorkItem(repetition=0, controller_index=1),
-            horizon=3,
-            demands_known=True,
+    def test_in_process_unit_runs_every_controller(self):
+        [work] = execute_sweeps(
+            [Sweep(scenario, seed=113, repetitions=1, horizon=3)]
         )
-        assert result.ok
-        assert result.controller_name == "Greedy_GD"
-        assert result.result.horizon == 3
-        assert result.wall_seconds > 0
+        assert [w.controller_name for w in work] == ["OL_GD", "Greedy_GD"]
+        assert all(w.ok and w.result.horizon == 3 for w in work)
+        assert all(w.wall_seconds > 0 for w in work)
+        assert all(w.pid == os.getpid() for w in work)
 
     def test_failed_item_failure_conversion(self):
-        result = _execute_work_item(
-            always_crashing_scenario,
-            seed=1,
-            item=WorkItem(repetition=0, controller_index=0),
-            horizon=3,
-            demands_known=True,
+        for jobs in (1, 2):
+            [work] = execute_sweeps(
+                [Sweep(always_crashing_scenario, seed=1, repetitions=1, horizon=3)],
+                jobs=jobs,
+            )
+            # The controller count is unknowable when the build crashes:
+            # one failed item stands for the repetition.
+            assert [(w.repetition, w.controller_index) for w in work] == [(0, 0)]
+            failure = work[0].failure()
+            assert "nothing to build" in failure.error
+            assert "ValueError" in failure.traceback
+
+    def test_build_crash_fails_every_known_controller(self):
+        [work] = execute_sweeps(
+            [
+                Sweep(
+                    always_crashing_scenario, seed=1, repetitions=2,
+                    horizon=3, n_controllers=2,
+                )
+            ],
+            jobs=2,
         )
-        assert not result.ok
-        failure = result.failure()
-        assert "nothing to build" in failure.error
+        assert [(w.repetition, w.controller_index) for w in work] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        assert not any(w.ok for w in work)
 
     def test_ok_item_has_no_failure(self):
-        result = _execute_work_item(
-            scenario,
-            seed=113,
-            item=WorkItem(repetition=0, controller_index=0),
-            horizon=3,
-            demands_known=True,
+        [work] = execute_sweeps(
+            [Sweep(scenario, seed=113, repetitions=1, horizon=3)]
         )
         with pytest.raises(ValueError):
-            result.failure()
+            work[0].failure()
+
+    def test_sweeps_complete_through_the_callback(self):
+        done = []
+        results = execute_sweeps(
+            [
+                Sweep(scenario, seed=113, repetitions=1, horizon=3),
+                Sweep(scenario, seed=114, repetitions=2, horizon=3),
+            ],
+            jobs=2,
+            on_complete=lambda index, work: done.append((index, len(work))),
+        )
+        assert sorted(done) == [(0, 2), (1, 4)]
+        assert [len(work) for work in results] == [2, 4]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_world_build_per_repetition(self, tmp_path, jobs):
+        # No probe build and no per-controller rebuilds: building a world
+        # can be expensive (a predictive world pretrains the GAN).
+        study = run_repetitions(
+            CountingScenario(tmp_path), seed=113, repetitions=3, horizon=2,
+            config=RunConfig(jobs=jobs),
+        )
+        assert study.completed_runs == 6
+        assert len(list(tmp_path.iterdir())) == 3

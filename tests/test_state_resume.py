@@ -5,7 +5,7 @@ mid-horizon, resume from the snapshot over a same-seeded world, and the
 full metric series must equal the uninterrupted run's — delays, churn,
 cache sizes, load fractions and regret inputs exactly, timing columns in
 length (wall-clock is re-measured).  Plus: resumable sweeps and bounded
-crash retries in :class:`repro.sim.ParallelRunner`.
+crash retries in the repetition executor (:mod:`repro.sim.parallel`).
 """
 
 import os
@@ -17,7 +17,7 @@ from repro import obs
 from repro.core import controller_names, make_controller
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
-from repro.sim import CheckpointConfig, CheckpointError, run_repetitions, run_simulation
+from repro.sim import CheckpointError, RunConfig, run_repetitions, run_simulation
 from repro.state import SweepManifest, result_path
 from repro.utils.seeding import RngRegistry
 from repro.workload import BurstyDemandModel, ConstantDemandModel
@@ -67,21 +67,19 @@ class TestResumeBitIdentity:
             network, model, controller, horizon=HORIZON, demands_known=known
         )
 
-        config = CheckpointConfig(
-            directory=tmp_path, every_n_slots=CUT, resume=True
-        )
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
         network, model, controller = build_world(11, name)
         partial = run_simulation(
             network, model, controller, horizon=CUT,
-            demands_known=known, checkpoint=config,
+            demands_known=known, config=config,
         )
-        assert config.path_for(controller.name).exists()
+        assert config.to_checkpoint_config().path_for(controller.name).exists()
         np.testing.assert_array_equal(partial.delays_ms, full.delays_ms[:CUT])
 
         network, model, controller = build_world(11, name)
         resumed = run_simulation(
             network, model, controller, horizon=HORIZON,
-            demands_known=known, checkpoint=config,
+            demands_known=known, config=config,
         )
 
         assert resumed.horizon == full.horizon == HORIZON
@@ -101,58 +99,58 @@ class TestResumeBitIdentity:
         assert resumed.decision_seconds.shape == full.decision_seconds.shape
 
     def test_wrong_controller_snapshot_rejected(self, tmp_path):
-        config = CheckpointConfig(directory=tmp_path, every_n_slots=CUT, resume=True)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
         network, model, controller = build_world(11, "OL_GD")
-        run_simulation(network, model, controller, horizon=CUT, checkpoint=config)
-        snapshot = config.path_for("OL_GD")
-        snapshot.rename(config.path_for("Greedy_GD"))
+        run_simulation(network, model, controller, horizon=CUT, config=config)
+        snapshot = config.to_checkpoint_config().path_for("OL_GD")
+        snapshot.rename(config.to_checkpoint_config().path_for("Greedy_GD"))
         network, model, controller = build_world(11, "Greedy_GD")
         with pytest.raises(CheckpointError, match="OL_GD"):
             run_simulation(
-                network, model, controller, horizon=HORIZON, checkpoint=config
+                network, model, controller, horizon=HORIZON, config=config
             )
 
     def test_foreign_world_rejected(self, tmp_path):
-        config = CheckpointConfig(directory=tmp_path, every_n_slots=CUT, resume=True)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
         network, model, controller = build_world(11, "OL_GD")
-        run_simulation(network, model, controller, horizon=CUT, checkpoint=config)
+        run_simulation(network, model, controller, horizon=CUT, config=config)
         network, model, controller = build_world(12, "OL_GD")  # different seed
         with pytest.raises(ValueError):
             run_simulation(
-                network, model, controller, horizon=HORIZON, checkpoint=config
+                network, model, controller, horizon=HORIZON, config=config
             )
 
     def test_resume_needs_longer_horizon(self, tmp_path):
-        config = CheckpointConfig(directory=tmp_path, every_n_slots=CUT, resume=True)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
         network, model, controller = build_world(11, "Greedy_GD")
-        run_simulation(network, model, controller, horizon=CUT, checkpoint=config)
+        run_simulation(network, model, controller, horizon=CUT, config=config)
         network, model, controller = build_world(11, "Greedy_GD")
         with pytest.raises(CheckpointError, match="already covers"):
             run_simulation(
-                network, model, controller, horizon=CUT, checkpoint=config
+                network, model, controller, horizon=CUT, config=config
             )
 
     def test_without_resume_existing_snapshot_ignored(self, tmp_path):
-        write = CheckpointConfig(directory=tmp_path, every_n_slots=CUT)
+        write = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT)
         network, model, controller = build_world(11, "Greedy_GD")
-        run_simulation(network, model, controller, horizon=CUT, checkpoint=write)
+        run_simulation(network, model, controller, horizon=CUT, config=write)
         network, model, controller = build_world(11, "Greedy_GD")
         fresh = run_simulation(
-            network, model, controller, horizon=HORIZON, checkpoint=write
+            network, model, controller, horizon=HORIZON, config=write
         )
         assert fresh.records[0].slot == 0 and fresh.horizon == HORIZON
 
     def test_save_and_load_are_counted(self, tmp_path):
-        config = CheckpointConfig(directory=tmp_path, every_n_slots=2, resume=True)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=2, resume=True)
         registry = obs.MetricsRegistry()
         with obs.activate(registry):
             network, model, controller = build_world(11, "Greedy_GD")
             run_simulation(
-                network, model, controller, horizon=CUT, checkpoint=config
+                network, model, controller, horizon=CUT, config=config
             )
             network, model, controller = build_world(11, "Greedy_GD")
             run_simulation(
-                network, model, controller, horizon=HORIZON, checkpoint=config
+                network, model, controller, horizon=HORIZON, config=config
             )
         assert registry.counter("state.load") == 1
         assert registry.counter("state.save") == 4  # slots 2,4 then 6,8
@@ -225,7 +223,7 @@ class TestSweepResume:
         sweep_dir = tmp_path / "sweep"
         run_repetitions(
             sweep_build, seed=7, repetitions=3, horizon=6,
-            checkpoint_dir=sweep_dir,
+            config=RunConfig(checkpoint_dir=sweep_dir),
         )
         # Simulate the interruption: two items never completed.
         result_path(sweep_dir, 1, 0).unlink()
@@ -234,7 +232,9 @@ class TestSweepResume:
         with obs.activate(registry):
             resumed = run_repetitions(
                 sweep_build, seed=7, repetitions=3, horizon=6,
-                checkpoint_dir=sweep_dir, resume=True, collect_metrics=False,
+                config=RunConfig(
+                    checkpoint_dir=sweep_dir, resume=True, collect_metrics=False
+                ),
             )
         assert_same_summaries(base, resumed)
         # Only the 2 missing items were executed: 2 items x 6 slots.
@@ -246,12 +246,12 @@ class TestSweepResume:
     def test_resume_refuses_foreign_sweep(self, tmp_path):
         run_repetitions(
             sweep_build, seed=7, repetitions=2, horizon=6,
-            checkpoint_dir=tmp_path,
+            config=RunConfig(checkpoint_dir=tmp_path),
         )
         with pytest.raises(CheckpointError, match="different sweep"):
             run_repetitions(
                 sweep_build, seed=8, repetitions=2, horizon=6,
-                checkpoint_dir=tmp_path, resume=True,
+                config=RunConfig(checkpoint_dir=tmp_path, resume=True),
             )
 
     def test_serial_one_shot_crash_retried(self, tmp_path):
@@ -260,7 +260,7 @@ class TestSweepResume:
         with obs.activate(registry):
             retried = run_repetitions(
                 CrashOnce(tmp_path / "shot"), seed=7, repetitions=3, horizon=6,
-                max_retries=1, collect_metrics=False,
+                config=RunConfig(retries=1, collect_metrics=False),
             )
         assert retried.n_failed == 0
         assert_same_summaries(base, retried)
@@ -277,7 +277,7 @@ class TestSweepResume:
         base = run_repetitions(sweep_build, seed=7, repetitions=2, horizon=4)
         retried = run_repetitions(
             DieOnce(tmp_path / "shot"), seed=7, repetitions=2, horizon=4,
-            n_jobs=2, n_controllers=2, max_retries=2,
+            n_controllers=2, config=RunConfig(jobs=2, retries=2),
         )
         assert retried.n_failed == 0
         assert_same_summaries(base, retried)
@@ -285,7 +285,7 @@ class TestSweepResume:
     def test_slot_checkpoints_cleaned_after_completion(self, tmp_path):
         run_repetitions(
             sweep_build, seed=7, repetitions=1, horizon=6,
-            checkpoint_dir=tmp_path, checkpoint_every=2,
+            config=RunConfig(checkpoint_dir=tmp_path, checkpoint_every=2),
         )
         assert list((tmp_path / "slots").rglob("*.npz")) == []
 
@@ -293,5 +293,5 @@ class TestSweepResume:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             run_repetitions(
                 sweep_build, seed=7, repetitions=1, horizon=6,
-                checkpoint_every=2,
+                config=RunConfig(checkpoint_every=2),
             )
