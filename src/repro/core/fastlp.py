@@ -6,30 +6,97 @@ horizon: the variables (every `x_{li}` and `y_{ki}`), the assignment rows
 are fixed; only the objective coefficients (`rho_l(t) * theta_i`) and the
 capacity coefficients (`rho_l(t) * C_unit`) move.
 
-:class:`PerSlotLpSolver` assembles the sparse matrices once and patches
-the changing entries in place per slot.  It is the only place the repo
-builds the caching program: the LP relaxation (Eq. 8) goes to
-``scipy.optimize.linprog``, the integer program (Eq. 7) to
-``scipy.optimize.milp`` on the same arrays, and the capacity-row duals of
-the LP are the stations' congestion prices.
+:class:`PerSlotLpSolver` assembles one column-wise constraint matrix with
+row bounds once and patches the changing entries in place per slot.  It
+is the only place the repo builds the caching program:
+
+* the LP relaxation (Eq. 8) goes straight to a fresh model of the HiGHS
+  solver that scipy vendors (``scipy.optimize._highspy``), one per solve;
+* without a start basis that model runs on HiGHS's defaults, which
+  reproduces scipy's own HiGHS LP front end bit for bit
+  (``tests/lp_hot_start_corpus.npz`` pins this);
+* given the basis of the previous slot's solve (:class:`LpBasis`) it runs
+  primal simplex from that basis with presolve off.  Under given demands
+  only the objective moves between slots, so the old optimal basis stays
+  primal feasible and the hot solve takes a fraction of the iterations.
+  A hot start may land on another optimal vertex of a degenerate LP;
+  the objective is the same;
+* the integer program (Eq. 7) goes to ``scipy.optimize.milp`` on the
+  same arrays, and the capacity-row duals of the LP are the stations'
+  congestion prices.
+
+``scipy.optimize._highspy`` is private scipy API, so this module is the
+only one that imports it, and it fails at import when the module is
+missing rather than fall back to another solve path (which would change
+trajectories silently).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as error:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "repro.core.fastlp drives the HiGHS solver vendored in scipy "
+        "(scipy.optimize._highspy); install scipy>=1.17,<1.18"
+    ) from error
 
 from repro import obs
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 
-__all__ = ["PerSlotLpSolver"]
+__all__ = ["LpBasis", "PerSlotLpSolver"]
+
+#: ``HighsBasisStatus`` members by value, for rebuilding a basis.
+_STATUSES = sorted(_highs.HighsBasisStatus.__members__.values(), key=int)
 
 
-# repro: allow[STATE001] -- only rewrites scratch buffers (objective, capacity coefficients and RHS) that every solve patches in full before use
+def _statuses(codes: np.ndarray) -> list:
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or np.any((codes < 0) | (codes >= len(_STATUSES))):
+        raise ValueError(
+            f"basis statuses must be a 1-D array of codes 0-{len(_STATUSES) - 1}"
+        )
+    return [_STATUSES[code] for code in codes.tolist()]
+
+
+class LpBasis:
+    """An optimal simplex basis of the caching LP: where the next solve starts.
+
+    Opaque outside this module.  It holds HiGHS's own basis object, so a
+    controller hands it from one solve to the next without conversion;
+    :meth:`to_arrays` and :meth:`from_arrays` convert it to and from the
+    two ``int8`` status arrays (columns, rows) that a checkpoint stores.
+    """
+
+    __slots__ = ("_highs",)
+
+    def __init__(self, highs_basis: "_highs.HighsBasis"):
+        self._highs = highs_basis
+
+    @classmethod
+    def from_arrays(cls, col_status: np.ndarray, row_status: np.ndarray) -> "LpBasis":
+        basis = _highs.HighsBasis()
+        basis.col_status = _statuses(col_status)
+        basis.row_status = _statuses(row_status)
+        basis.valid = True
+        basis.alien = basis.was_alien = False
+        return cls(basis)
+
+    def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array([int(s) for s in self._highs.col_status], dtype=np.int8),
+            np.array([int(s) for s in self._highs.row_status], dtype=np.int8),
+        )
+
+
+# repro: allow[STATE001] -- only rewrites scratch buffers (objective, capacity coefficients and row bounds) that every solve patches in full before use
 class PerSlotLpSolver:
     """Reusable Eq. (3)-(8) program for a fixed network + request set."""
 
@@ -37,122 +104,114 @@ class PerSlotLpSolver:
         if not requests:
             raise ValueError("need at least one request")
         self._network = network
-        self._requests = list(requests)
         R, S = len(requests), network.n_stations
         self._R, self._S = R, S
 
+        # Variables: x(l, i) at column l*S+i, then one y(k, i) per needed
+        # service k (in sorted order) and station i.
         needed_services = sorted({r.service_index for r in requests})
-        self._pairs: List[Tuple[int, int]] = [
-            (k, i) for k in needed_services for i in range(S)
-        ]
         self._y_offset = R * S
-        self._n_vars = R * S + len(self._pairs)
-        y_column = {pair: self._y_offset + p for p, pair in enumerate(self._pairs)}
+        self._n_vars = R * S + len(needed_services) * S
 
         # ---- objective: x part patched per slot, y part constant -------
         self._c = np.zeros(self._n_vars, dtype=np.float64)
-        for p, (k, i) in enumerate(self._pairs):
-            self._c[self._y_offset + p] = (
-                network.services.instantiation_delay(i, k) / R
-            )
+        self._c[self._y_offset :] = [
+            network.services.instantiation_delay(i, k) / R
+            for k in needed_services
+            for i in range(S)
+        ]
 
-        # ---- A_ub: capacity rows (patched) then coupling rows (fixed) --
-        rows, cols, data = [], [], []
-        # Capacity (Eq. 5): row i, entries at x(l, i) with value rho_l*C_unit.
-        # Store (row, col) in a deterministic order; remember the data slice.
-        for i in range(S):
-            for l in range(R):
-                rows.append(i)
-                cols.append(l * S + i)
-                data.append(1.0)  # placeholder, patched per slot
-        # Coupling (Eq. 6, negated GE -> LE): x_li - y_ki <= 0.
-        row = S
-        for l, request in enumerate(self._requests):
-            k = request.service_index
-            for i in range(S):
-                rows.append(row)
-                cols.append(l * S + i)
-                data.append(1.0)
-                rows.append(row)
-                cols.append(y_column[(k, i)])
-                data.append(-1.0)
-                row += 1
-        n_ub_rows = S + R * S
-        matrix = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(n_ub_rows, self._n_vars)
+        # ---- rows: capacity (patched), coupling, assignment (fixed) ----
+        x = np.arange(R * S)
+        request, station = np.divmod(x, S)
+        service_rank = np.searchsorted(
+            needed_services, [r.service_index for r in requests]
         )
-        # CSC: HiGHS consumes columns, so column-major storage avoids a
-        # format conversion per solve.  It also makes the capacity patch a
-        # single strided assignment: each x column l*S+i holds exactly two
-        # entries — capacity row i and coupling row S+l*S+i — and after
-        # sort_indices() the capacity entry (row i < S <= S+l*S+i) sits
-        # first, at data position indptr[l*S+i].
-        self._a_ub = sparse.csc_matrix(matrix)
-        self._a_ub.sort_indices()
-        # [i, l] = data index of the capacity coefficient for x(l, i);
-        # shape (S, R) so assigning the (R,) per-slot needs broadcasts
-        # across stations in one shot.
-        self._capacity_data_index = (
-            np.asarray(self._a_ub.indptr[: R * S], dtype=np.int64)
-            .reshape(R, S)
-            .T.copy()
+        y = self._y_offset + service_rank[request] * S + station
+        ones = np.ones(R * S, dtype=np.float64)
+        rows = np.concatenate(
+            [
+                station,  # capacity (Eq. 5): rho_l * C_unit, patched per slot
+                S + x,  # coupling (Eq. 6, negated GE -> LE): x_li - y_ki <= 0
+                S + x,
+                S + R * S + request,  # assignment (Eq. 4): sum_i x_li = 1
+            ]
         )
-        # With two entries per x column the capacity coefficients sit at
-        # the *even* data positions of the first R*S columns, so the
-        # per-slot patch can write through a strided view instead of a
-        # fancy-index gather (~7x cheaper at paper scale).
+        cols = np.concatenate([x, x, y, x])
+        data = np.concatenate([ones, ones, -ones, ones])
+        self._n_rows = S + R * S + R
+        # CSC: HiGHS consumes columns.  It also makes the capacity patch a
+        # single strided assignment: each x column l*S+i holds exactly
+        # three entries — capacity row i, coupling row S+l*S+i and
+        # assignment row S+R*S+l — and after sort_indices() the capacity
+        # entry sits first, at data position 3*(l*S+i).
+        self._matrix = sparse.csc_matrix(
+            (data, (rows, cols)), shape=(self._n_rows, self._n_vars)
+        )
+        self._matrix.sort_indices()
         if not np.array_equal(
-            self._a_ub.indptr[: R * S + 1], 2 * np.arange(R * S + 1)
+            self._matrix.indptr[: R * S + 1], 3 * np.arange(R * S + 1)
         ):
-            raise AssertionError(
-                "x columns must hold exactly (capacity, coupling) entries"
-            )
+            raise AssertionError("x columns must hold exactly three entries")
         # repro: allow[AG002] -- scipy.sparse CSC buffer, not a Tensor
-        data = self._a_ub.data
+        self._values = self._matrix.data
         #: (R, S) view of the capacity coefficients: [l, i] aliases the
         #: data slot of x(l, i)'s capacity entry.
-        self._capacity_view = data[: 2 * R * S : 2].reshape(R, S)
+        self._capacity_view = self._values[: 3 * R * S : 3].reshape(R, S)
+        # HiGHS reads one start per column; the end marker is implied by nnz.
+        self._col_starts = self._matrix.indptr[:-1]
 
-        # Capacity RHS is a snapshot; stations can change capacity between
-        # slots (outages, recovery), so every solve re-reads the live values.
-        self._b_ub = np.concatenate(
-            [network.capacities_mhz, np.zeros(R * S, dtype=np.float64)]
+        # Row bounds.  The capacity upper bounds are re-read from the live
+        # stations every solve: stations can change capacity between slots
+        # (outages, recovery).
+        n_ub = S + R * S
+        self._row_lower = np.concatenate(
+            [np.full(n_ub, -np.inf, dtype=np.float64), np.ones(R, dtype=np.float64)]
         )
-
-        # ---- A_eq: assignment rows (all fixed) --------------------------
-        eq_rows = np.repeat(np.arange(R), S)
-        eq_cols = np.arange(R * S)
-        self._a_eq = sparse.csc_matrix(
-            (np.ones(R * S, dtype=np.float64), (eq_rows, eq_cols)),
-            shape=(R, self._n_vars),
+        self._row_upper = np.concatenate(
+            [
+                network.capacities_mhz,
+                np.zeros(R * S, dtype=np.float64),
+                np.ones(R, dtype=np.float64),
+            ]
         )
-        self._b_eq = np.ones(R, dtype=np.float64)
-        # A single (lo, hi) pair applies to every variable; building the
-        # n_vars-long list of identical tuples per instance was pure
-        # allocation overhead.
-        self._bounds = (0.0, 1.0)
+        self._col_lower = np.zeros(self._n_vars, dtype=np.float64)
+        self._col_upper = np.ones(self._n_vars, dtype=np.float64)
+        self._continuous = np.zeros(self._n_vars, dtype=np.int32)
 
     @property
     def n_variables(self) -> int:
         return self._n_vars
 
-    def solve(self, demands_mb: np.ndarray, theta_ms: np.ndarray) -> np.ndarray:
-        """Solve the slot's relaxation; returns the `(|R|, |BS|)` x-matrix.
+    def solve(
+        self,
+        demands_mb: np.ndarray,
+        theta_ms: np.ndarray,
+        start: Optional[LpBasis] = None,
+    ) -> Tuple[np.ndarray, LpBasis]:
+        """Solve the slot's relaxation; returns the `(|R|, |BS|)` x-matrix
+        and the optimal basis.
 
-        Raises ``RuntimeError`` when the LP is not optimal (callers scale
-        demands for aggregate feasibility first, as `OL_GD` does).
+        ``start``, the basis a previous solve of this program returned,
+        hot-starts primal simplex from it.  Raises ``RuntimeError`` when
+        the LP is not optimal (callers scale demands for aggregate
+        feasibility first, as `OL_GD` does).
         """
-        return self._solve(demands_mb, theta_ms)[0]
+        self._patch(*self._slot_cost(demands_mb, theta_ms))
+        highs = self._run(start)
+        x = self._x_matrix(highs.getSolution().col_value)
+        return x, LpBasis(highs.getBasis())
 
     def solve_with_objective(
         self, demands_mb: np.ndarray, theta_ms: np.ndarray
     ) -> Tuple[np.ndarray, float]:
-        """Like :meth:`solve`, also returning the optimal Eq. (3) objective.
+        """Like :meth:`solve` without a start, returning the optimal Eq. (3)
+        objective instead of the basis.
 
         The objective value is what the clairvoyant comparator needs; it
         is unique even when the argmin is degenerate.
         """
-        return self._solve(demands_mb, theta_ms)
+        return self.optimum(*self._slot_cost(demands_mb, theta_ms))
 
     def optimum(
         self, cost_ms: np.ndarray, demands_mb: np.ndarray
@@ -165,8 +224,11 @@ class PerSlotLpSolver:
         ``demands_mb`` sizes the capacity rows.
         """
         self._patch(cost_ms, demands_mb)
-        result = self._linprog()
-        return self._x_matrix(result.x), float(result.fun)
+        highs = self._run()
+        return (
+            self._x_matrix(highs.getSolution().col_value),
+            float(highs.getInfo().objective_function_value),
+        )
 
     def exact_optimum(
         self, cost_ms: np.ndarray, demands_mb: np.ndarray
@@ -183,10 +245,9 @@ class PerSlotLpSolver:
             self._c,
             integrality=np.ones(self._n_vars, dtype=np.int64),
             bounds=Bounds(0.0, 1.0),
-            constraints=[
-                LinearConstraint(self._a_ub, -np.inf, self._b_ub),
-                LinearConstraint(self._a_eq, self._b_eq, self._b_eq),
-            ],
+            constraints=LinearConstraint(
+                self._matrix, self._row_lower, self._row_upper
+            ),
             options={"mip_rel_gap": 0.0},
         )
         if result.status != 0:
@@ -205,7 +266,8 @@ class PerSlotLpSolver:
         capacity is slack.
         """
         self._patch(*self._slot_cost(demands_mb, theta_ms))
-        return -np.asarray(self._linprog().ineqlin.marginals[: self._S])
+        row_dual = self._run().getSolution().row_dual
+        return -np.array(row_dual[: self._S], dtype=np.float64)
 
     def _checked_demands(self, demands_mb: np.ndarray) -> np.ndarray:
         demands_mb = np.asarray(demands_mb, dtype=np.float64)
@@ -229,11 +291,6 @@ class PerSlotLpSolver:
             )
         return np.outer(demands_mb, theta_ms), demands_mb
 
-    def _solve(
-        self, demands_mb: np.ndarray, theta_ms: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        return self.optimum(*self._slot_cost(demands_mb, theta_ms))
-
     def _patch(self, cost_ms: np.ndarray, demands_mb: np.ndarray) -> None:
         demands_mb = self._checked_demands(demands_mb)
         cost_ms = np.asarray(cost_ms, dtype=np.float64)
@@ -247,31 +304,59 @@ class PerSlotLpSolver:
             # Patch the capacity coefficients: rho_l * C_unit.
             needs = demands_mb * self._network.c_unit_mhz
             self._capacity_view[:] = needs[:, None]
-            # Re-patch the capacity RHS from the live stations: the snapshot
-            # taken at construction goes stale when capacities change
+            # Re-patch the capacity bounds from the live stations: the
+            # values taken at construction go stale when capacities change
             # mid-horizon (failure injection degrades/restores stations).
-            self._b_ub[: self._S] = self._network.capacities_mhz
+            self._row_upper[: self._S] = self._network.capacities_mhz
 
-    def _linprog(self) -> OptimizeResult:
+    def _run(self, start: Optional[LpBasis] = None) -> "_highs._Highs":
+        """Solve the patched LP in a fresh HiGHS model; returns the model.
+
+        A fresh model per solve carries no hidden solver state from one
+        slot to the next: everything a hot start uses is ``start``.
+        """
+        highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        if start is not None:
+            highs.setOptionValue("presolve", "off")
+            highs.setOptionValue(
+                "simplex_strategy",
+                int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal),
+            )
         with obs.span("lp.solve"):
-            result = linprog(
+            status = highs.passModel(
+                self._n_vars,
+                self._n_rows,
+                self._matrix.nnz,
+                int(_highs.MatrixFormat.kColwise),
+                int(_highs.ObjSense.kMinimize),
+                0.0,
                 self._c,
-                A_ub=self._a_ub,
-                b_ub=self._b_ub,
-                A_eq=self._a_eq,
-                b_eq=self._b_eq,
-                bounds=self._bounds,
-                method="highs",
+                self._col_lower,
+                self._col_upper,
+                self._row_lower,
+                self._row_upper,
+                self._col_starts,
+                self._matrix.indices,
+                self._values,
+                self._continuous,
             )
-        if result.status != 0:
+            if start is not None and status != _highs.HighsStatus.kError:
+                if highs.setBasis(start._highs) == _highs.HighsStatus.kError:
+                    raise ValueError("the start basis does not fit this program")
+            if status != _highs.HighsStatus.kError:
+                highs.run()
+        model_status = highs.getModelStatus()
+        if model_status != _highs.HighsModelStatus.kOptimal:
             raise RuntimeError(
-                f"per-slot LP failed (status {result.status}): {result.message}"
+                f"per-slot LP failed (status {int(model_status)}): "
+                f"{highs.modelStatusToString(model_status)}"
             )
-        # HiGHS reports its simplex/IPM iteration count; fold it into the
+        # HiGHS reports its simplex iteration count; fold it into the
         # registry so the stage-level cost has an algorithmic denominator.
-        obs.inc("lp.iterations", int(getattr(result, "nit", 0)))
-        return result
+        obs.inc("lp.iterations", highs.getInfo().simplex_iteration_count)
+        return highs
 
-    def _x_matrix(self, values: np.ndarray) -> np.ndarray:
+    def _x_matrix(self, values: Sequence[float]) -> np.ndarray:
         x = np.clip(np.asarray(values[: self._y_offset]), 0.0, 1.0)
         return x.reshape(self._R, self._S)

@@ -140,6 +140,9 @@ class OlGdController(Controller):
             )
         self.last_fractional: Optional[np.ndarray] = None
         self._lp_solver = None  # built lazily on the first decide()
+        #: The previous slot's optimal LP basis; the next solve starts
+        #: from it (None until the first, cold, solve).
+        self._lp_basis = None
 
     # ------------------------------------------------------------------ #
 
@@ -152,19 +155,24 @@ class OlGdController(Controller):
         for the *LP only* — the x* proportions still steer the rounding,
         and the realised overload is priced by the evaluator's
         processor-sharing penalty rather than by an infeasible solve.
+
+        Every solve after the first starts from the previous slot's
+        optimal basis (see repro.core.fastlp).
         """
         total_need = float(demands.sum()) * self.network.c_unit_mhz
         budget = 0.95 * self.network.total_capacity_mhz()
         lp_demands = demands if total_need <= budget else demands * (budget / total_need)
         if self._lp_solver is None:
             # The LP's structure is fixed across the horizon; assemble it
-            # once and patch coefficients per slot (~3x faster per solve,
-            # identical solutions — see repro.core.fastlp).
+            # once and patch coefficients per slot.
             from repro.core.fastlp import PerSlotLpSolver
 
             self._lp_solver = PerSlotLpSolver(self.network, self.requests)
         try:
-            return self._lp_solver.solve(lp_demands, self.arms.means)
+            x, self._lp_basis = self._lp_solver.solve(
+                lp_demands, self.arms.means, start=self._lp_basis
+            )
+            return x
         except RuntimeError as error:
             raise RuntimeError(
                 f"{error} — check the §III-E feasibility assumption "
@@ -220,17 +228,28 @@ class OlGdController(Controller):
         obs.inc("olgd.arms_played", len(played))
 
     def state_dict(self) -> Dict[str, Any]:
-        """Learned arm statistics plus the rounding/exploration RNG.
+        """Learned arm statistics, the rounding/exploration RNG and the LP
+        basis the next solve starts from.
 
-        The LP solver is rebuilt lazily (it is a pure function of the
-        fixed network/request topology), so it does not travel.
+        The basis travels as two ``int8`` status arrays (columns, rows);
+        the solver itself is rebuilt lazily, since it is a pure function of
+        the fixed network/request topology.
         """
         from repro.state.snapshot import rng_state
 
-        return {"arms": self.arms.state_dict(), "rng": rng_state(self._rng)}
+        return {
+            "arms": self.arms.state_dict(),
+            "rng": rng_state(self._rng),
+            "lp_basis": (
+                None if self._lp_basis is None else list(self._lp_basis.to_arrays())
+            ),
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        from repro.core.fastlp import LpBasis
         from repro.state.snapshot import set_rng_state
 
         self.arms.load_state_dict(state["arms"])
         set_rng_state(self._rng, state["rng"])
+        basis = state["lp_basis"]
+        self._lp_basis = None if basis is None else LpBasis.from_arrays(*basis)

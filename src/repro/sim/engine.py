@@ -275,6 +275,18 @@ def _run_loop(
                     assignment, true_demands, unit_delays
                 )
 
+            prediction_mae: Optional[float] = None
+            last_prediction = getattr(controller, "last_prediction", None)
+            if not demands_known and last_prediction is not None:
+                prediction_mae = float(
+                    np.mean(np.abs(last_prediction - true_demands))
+                )
+
+            with observe_watch, obs.span("sim.observe"):
+                controller.observe(slot, true_demands, unit_delays, assignment)
+
+            # The clairvoyant optimum reads nothing observe writes; it runs
+            # after the controller's own decide -> evaluate -> observe step.
             optimal_ms: Optional[float] = None
             if compute_optimal:
                 with obs.span("sim.optimal"):
@@ -286,16 +298,6 @@ def _run_loop(
                         optimal_ms = clairvoyant_cost(
                             network, requests, true_demands, unit_delays
                         )
-
-            prediction_mae: Optional[float] = None
-            last_prediction = getattr(controller, "last_prediction", None)
-            if not demands_known and last_prediction is not None:
-                prediction_mae = float(
-                    np.mean(np.abs(last_prediction - true_demands))
-                )
-
-            with observe_watch, obs.span("sim.observe"):
-                controller.observe(slot, true_demands, unit_delays, assignment)
 
             loads = evaluator.loads_mhz(assignment, true_demands)
             # Churn is change *between* slots; slot 0's cold-start placement

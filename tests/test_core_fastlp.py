@@ -1,11 +1,18 @@
 """Tests for the structure-cached per-slot LP solver."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.core.fastlp import PerSlotLpSolver
+import repro
+from repro.core.fastlp import LpBasis, PerSlotLpSolver
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.seeding import RngRegistry
@@ -78,7 +85,7 @@ class TestPerSlotLpSolver:
     def test_solution_structure(self):
         network, requests, demands = make_instance(1, 10, 6)
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, network.delays.true_means)
+        x, _ = solver.solve(demands, network.delays.true_means)
         assert x.shape == (6, 10)
         np.testing.assert_allclose(x.sum(axis=1), np.ones(6), atol=1e-6)
         assert np.all(x >= 0)
@@ -86,7 +93,7 @@ class TestPerSlotLpSolver:
     def test_respects_capacity(self):
         network, requests, demands = make_instance(2, 8, 10)
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, network.delays.true_means)
+        x, _ = solver.solve(demands, network.delays.true_means)
         loads = (x * demands[:, None]).sum(axis=0) * network.c_unit_mhz
         assert np.all(loads <= network.capacities_mhz + 1e-6)
 
@@ -109,10 +116,10 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(3, 8, 6)
         solver = PerSlotLpSolver(network, requests)
         theta = network.delays.true_means
-        x1 = solver.solve(demands, theta)
+        x1, _ = solver.solve(demands, theta)
         flipped = theta[::-1].copy()  # different delay landscape
-        x2 = solver.solve(demands * 1.5, flipped)
-        x3 = solver.solve(demands, theta)  # back to the first inputs
+        x2, _ = solver.solve(demands * 1.5, flipped)
+        x3, _ = solver.solve(demands, theta)  # back to the first inputs
         np.testing.assert_allclose(x1, x3, atol=1e-9)
         assert not np.allclose(x1, x2)
 
@@ -120,7 +127,7 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(4, 12, 8)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x_fast = solver.solve(demands, theta)
+        x_fast, _ = solver.solve(demands, theta)
         _, x_ref = reference_objective(network, requests, demands, theta)
         # HiGHS is deterministic; with identical LPs the solutions match.
         np.testing.assert_allclose(x_fast, x_ref, atol=1e-7)
@@ -142,10 +149,10 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(5, 6, 4)
         solver = PerSlotLpSolver(network, requests)
         theta = np.full(6, 20.0)
-        x_uniform = solver.solve(demands, theta)
+        x_uniform, _ = solver.solve(demands, theta)
         theta_fast0 = theta.copy()
         theta_fast0[0] = 1.0
-        x_skewed = solver.solve(demands, theta_fast0)
+        x_skewed, _ = solver.solve(demands, theta_fast0)
         assert x_skewed[:, 0].sum() > x_uniform[:, 0].sum()
 
     def test_validation(self):
@@ -175,7 +182,7 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(9, 6, 8)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x_before = solver.solve(demands, theta)
+        x_before, _ = solver.solve(demands, theta)
         loads_before = (x_before * demands[:, None]).sum(axis=0) * network.c_unit_mhz
 
         # Flip the most-loaded station down to near-zero capacity.
@@ -184,7 +191,7 @@ class TestPerSlotLpSolver:
         original = network.stations[victim].capacity_mhz
         try:
             network.stations[victim].capacity_mhz = 1e-6
-            x_after = solver.solve(demands, theta)
+            x_after, _ = solver.solve(demands, theta)
             loads_after = (x_after * demands[:, None]).sum(axis=0) * network.c_unit_mhz
             # The LP must respect the reduced capacity: (near) nothing on
             # the dead station, and all capacities still honoured.
@@ -194,7 +201,7 @@ class TestPerSlotLpSolver:
             network.stations[victim].capacity_mhz = original
 
         # With the capacity restored the original solution comes back.
-        x_restored = solver.solve(demands, theta)
+        x_restored, _ = solver.solve(demands, theta)
         np.testing.assert_allclose(x_restored, x_before, atol=1e-9)
 
     def test_capacity_recovery_tracked(self):
@@ -202,7 +209,7 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(10, 5, 6)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x_healthy = solver.solve(demands, theta)
+        x_healthy, _ = solver.solve(demands, theta)
         original = [bs.capacity_mhz for bs in network.stations]
         try:
             for bs in network.stations[1:]:
@@ -211,7 +218,7 @@ class TestPerSlotLpSolver:
         finally:
             for bs, cap in zip(network.stations, original):
                 bs.capacity_mhz = cap
-        np.testing.assert_allclose(solver.solve(demands, theta), x_healthy, atol=1e-9)
+        np.testing.assert_allclose(solver.solve(demands, theta)[0], x_healthy, atol=1e-9)
 
     def test_ol_gd_uses_cached_solver(self):
         from repro.core import OlGdController
@@ -286,3 +293,75 @@ class TestClairvoyantSolverCache:
         assert clairvoyant_cost(network, requests, demands, theta) == pytest.approx(
             baseline, rel=1e-9
         )
+
+
+class TestVendoredHighs:
+    """HiGHS is reached through scipy's private ``_highspy`` module."""
+
+    def test_only_fastlp_imports_the_private_module(self):
+        package = Path(repro.__file__).resolve().parent
+        importers = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    names += [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any("_highspy" in name for name in names):
+                    importers.append(path.relative_to(package).as_posix())
+        assert importers == ["core/fastlp.py"]
+
+    def test_missing_highs_fails_at_import(self):
+        code = (
+            "import sys, scipy.optimize\n"
+            "sys.modules['scipy.optimize._highspy'] = None\n"
+            "import repro.core.fastlp\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode != 0
+        assert "ImportError" in result.stderr
+        assert "scipy>=1.17,<1.18" in result.stderr
+
+
+class TestLpBasis:
+    """The optimal basis a solve returns, and its checkpoint form."""
+
+    def test_int8_round_trip_starts_the_same_solve(self):
+        network, requests, demands = make_instance(13, 8, 10)
+        theta = network.delays.true_means
+        solver = PerSlotLpSolver(network, requests)
+        _, basis = solver.solve(demands, theta)
+        col_status, row_status = basis.to_arrays()
+        assert col_status.dtype == row_status.dtype == np.int8
+        assert col_status.shape == (solver.n_variables,)
+        restored = LpBasis.from_arrays(col_status, row_status)
+        np.testing.assert_array_equal(restored.to_arrays()[1], row_status)
+        shifted = theta[::-1].copy()
+        x_hot, _ = solver.solve(demands, shifted, start=basis)
+        x_restored, _ = solver.solve(demands, shifted, start=restored)
+        np.testing.assert_array_equal(x_restored, x_hot)
+
+    def test_malformed_statuses_rejected(self):
+        with pytest.raises(ValueError, match="codes"):
+            LpBasis.from_arrays(np.array([0, 9], dtype=np.int8), np.zeros(1))
+        with pytest.raises(ValueError, match="codes"):
+            LpBasis.from_arrays(np.array([0, -1], dtype=np.int8), np.zeros(1))
+        with pytest.raises(ValueError, match="codes"):
+            LpBasis.from_arrays(np.zeros((2, 2)), np.zeros(1))
+
+    def test_basis_of_another_program_rejected(self):
+        network, requests, demands = make_instance(14, 6, 5)
+        _, basis = PerSlotLpSolver(network, requests).solve(
+            demands, network.delays.true_means
+        )
+        other, other_requests, other_demands = make_instance(15, 7, 5)
+        with pytest.raises(ValueError, match="does not fit"):
+            PerSlotLpSolver(other, other_requests).solve(
+                other_demands, other.delays.true_means, start=basis
+            )

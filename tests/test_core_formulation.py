@@ -40,11 +40,11 @@ class TestBuildCachingModel:
         network, requests, _ = small
         solver = PerSlotLpSolver(network, requests)
         # Eq.4: |R|; Eq.5: |BS|; Eq.6: |R| * |BS|.
-        assert solver._a_eq.shape[0] + solver._a_ub.shape[0] == 4 + 6 + 4 * 6
+        assert solver._matrix.shape[0] == 4 + 6 + 4 * 6
 
     def test_lp_solution_is_valid_distribution(self, small):
         network, requests, demands = small
-        x = PerSlotLpSolver(network, requests).solve(
+        x, _ = PerSlotLpSolver(network, requests).solve(
             demands, network.delays.true_means
         )
         np.testing.assert_allclose(x.sum(axis=1), np.ones(len(requests)), atol=1e-6)
@@ -52,7 +52,7 @@ class TestBuildCachingModel:
 
     def test_lp_respects_capacity(self, small):
         network, requests, demands = small
-        x = PerSlotLpSolver(network, requests).solve(
+        x, _ = PerSlotLpSolver(network, requests).solve(
             demands, network.delays.true_means
         )
         loads = (x * demands[:, np.newaxis]).sum(axis=0) * network.c_unit_mhz
@@ -83,7 +83,7 @@ class TestBuildCachingModel:
     def test_mass_concentrates_on_fast_stations(self, small):
         network, requests, demands = small
         theta = network.delays.true_means
-        x = PerSlotLpSolver(network, requests).solve(demands, theta)
+        x, _ = PerSlotLpSolver(network, requests).solve(demands, theta)
         # The bulk of assignment mass should sit on below-median-delay stations.
         fast = theta <= np.median(theta)
         assert x[:, fast].sum() > 0.5 * x.sum()

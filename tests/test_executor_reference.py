@@ -10,7 +10,10 @@ still had five ways to execute a repetition grid:
   fig6 (``runtime_s`` is wall-clock and left out).
 
 The single executor must reproduce every file byte for byte, in-process
-and pooled.
+and pooled.  The files holding OL_GD, OL_Reg or OL_GAN results were
+re-recorded at ``jobs=1`` when OL_GD's LP began hot-starting from the
+previous slot's basis (a degenerate LP can land on another optimal
+vertex); every other column is still the pre-merge recording.
 """
 
 import dataclasses

@@ -32,7 +32,7 @@ class TestSolveLpWithDuals:
         fastest = int(np.argmin(theta))
         network.stations[fastest].capacity_mhz = 1.5 * 2.0 * network.c_unit_mhz
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, theta)
+        x, _ = solver.solve(demands, theta)
         prices = solver.capacity_prices(demands, theta)
         assert _loads(network, x, demands)[fastest] == pytest.approx(
             network.capacities_mhz[fastest]
@@ -45,7 +45,7 @@ class TestSolveLpWithDuals:
         network.c_unit_mhz = float(network.capacities_mhz.min() / 100.0)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, theta)
+        x, _ = solver.solve(demands, theta)
         assert np.all(_loads(network, x, demands) < network.capacities_mhz)
         np.testing.assert_array_equal(solver.capacity_prices(demands, theta), 0.0)
 
@@ -80,7 +80,7 @@ class TestCapacityShadowPrices:
         network, requests, demands = self._congested_world()
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, theta)
+        x, _ = solver.solve(demands, theta)
         prices = solver.capacity_prices(demands, theta)
         utilisation = _loads(network, x, demands) / network.capacities_mhz
         # Complementary slackness: priced stations are saturated.

@@ -72,7 +72,7 @@ class TestRecordedOptima:
     def test_prices_match_recording(self, case):
         network, requests, demands, d_t = rebuild(case)
         solver = PerSlotLpSolver(network, requests)
-        x = solver.solve(demands, d_t)
+        x, _ = solver.solve(demands, d_t)
         prices = solver.capacity_prices(demands, d_t)
         np.testing.assert_allclose(prices, case["capacity_prices"], rtol=0, atol=1e-9)
         assert np.all(prices >= -1e-12)

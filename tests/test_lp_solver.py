@@ -73,7 +73,7 @@ class TestSolveLp:
 
     def test_values_respect_bounds(self):
         for network, requests, demands, d_t in tiny_corpus(10):
-            x = PerSlotLpSolver(network, requests).solve(demands, d_t)
+            x, _ = PerSlotLpSolver(network, requests).solve(demands, d_t)
             assert np.all((x >= 0.0) & (x <= 1.0))
 
 

@@ -329,6 +329,52 @@ class TestWarmRestart:
         assert resumed[0].n_offers == len(pending)
         second.stop()
 
+    @pytest.mark.parametrize("cut", range(1, HORIZON))
+    def test_restart_at_every_slot_keeps_the_lp_hot_start(self, tmp_path, cut):
+        """A restart at any slot boundary resumes OL_GD's LP from the
+        checkpointed basis: every later x matches the uninterrupted
+        server's (a cold restart lands elsewhere in this world)."""
+
+        def record_lp_solutions(server):
+            solutions = []
+            controller = server.controller
+            decide = controller.decide
+
+            def recorded(slot, demands):
+                assignment = decide(slot, demands)
+                solutions.append(controller.last_fractional.copy())
+                return assignment
+
+            controller.decide = recorded
+            return solutions
+
+        reference = DecisionServer(tiny_config())
+        reference.start()
+        full_solutions = record_lp_solutions(reference)
+        full = drive(reference, range(HORIZON))
+        reference.stop()
+
+        config = tiny_config(checkpoint_dir=tmp_path, resume=True)
+        first = DecisionServer(config)
+        first.start()
+        drive(first, range(cut))
+        first.stop()
+
+        second = DecisionServer(config)
+        second.start()
+        assert second.slot == cut
+        solutions = record_lp_solutions(second)
+        drive(second, range(cut, HORIZON))
+        assert len(solutions) == HORIZON - cut
+        for slot, (x, expected) in enumerate(
+            zip(solutions, full_solutions[cut:]), start=cut
+        ):
+            np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
+        assert [p.trace_key() for p in second.placement_history()] == [
+            p.trace_key() for p in full
+        ]
+        second.stop()
+
     def test_periodic_checkpoint_cadence(self, tmp_path):
         config = tiny_config(checkpoint_dir=tmp_path, checkpoint_every=2)
         server = DecisionServer(config)

@@ -70,6 +70,38 @@ class TestRunSimulation:
         # Achieved integer cost always >= the LP clairvoyant bound.
         assert np.all(tracker.per_slot_regret >= -1e-9)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_optimum_runs_after_observe(self, monkeypatch, exact):
+        """Each slot runs the controller's own decide -> evaluate -> observe
+        step first; the clairvoyant optimum follows it."""
+        from repro.sim import engine
+
+        rngs, network, requests = build_setting()
+        controller = OlGdController(network, requests, rngs.get("ctrl"))
+        calls = []
+        observe = controller.observe
+
+        def logged_observe(slot, *args):
+            calls.append(f"observe {slot}")
+            return observe(slot, *args)
+
+        name = "clairvoyant_cost_exact" if exact else "clairvoyant_cost"
+        oracle = getattr(engine, name)
+
+        def logged_optimum(*args):
+            calls.append("optimal")
+            return oracle(*args)
+
+        controller.observe = logged_observe
+        monkeypatch.setattr(engine, name, logged_optimum)
+        run_simulation(
+            network, ConstantDemandModel(requests), controller, horizon=3,
+            compute_optimal=True, exact_optimal=exact,
+        )
+        assert calls == [
+            "observe 0", "optimal", "observe 1", "optimal", "observe 2", "optimal"
+        ]
+
     def test_first_slot_cold_start_is_not_churn(self):
         rngs, network, requests = build_setting()
         controller = GreedyController(network, requests, rngs.get("ctrl"))

@@ -8,6 +8,7 @@ length (wall-clock is re-measured).  Plus: resumable sweeps and bounded
 crash retries in the repetition executor (:mod:`repro.sim.parallel`).
 """
 
+import functools
 import os
 
 import numpy as np
@@ -35,11 +36,14 @@ CONTROLLER_OPTIONS = {
 #: demands=None to them (they raise otherwise).
 PREDICTIVE = {"OL_GAN", "OL_Reg"}
 
+#: The controllers whose LP starts from the previous slot's basis.
+HOT_STARTED = ("OL_GD", "OL_Reg", "OL_GAN")
 
-def build_world(seed, name):
+
+def build_world(seed, name, n_stations=8, n_requests=6):
     """Fresh same-seeded world + controller (slot-keyed, so rebuildable)."""
     rngs = RngRegistry(seed=seed)
-    network = MECNetwork.synthetic(8, 2, rngs)
+    network = MECNetwork.synthetic(n_stations, 2, rngs)
     rng = rngs.get("requests")
     requests = [
         Request(
@@ -48,7 +52,7 @@ def build_world(seed, name):
             basic_demand_mb=float(rng.uniform(1.0, 2.0)),
             hotspot_index=i % 2,
         )
-        for i in range(6)
+        for i in range(n_requests)
     ]
     model = BurstyDemandModel(requests, rngs.get("demand"))
     controller = make_controller(
@@ -56,6 +60,39 @@ def build_world(seed, name):
         **CONTROLLER_OPTIONS.get(name, {})
     )
     return network, model, controller
+
+
+def build_lp_world(name):
+    """A world whose LP is degenerate enough that a cold solve lands on a
+    different x than a hot-started one: a resume that loses the LP basis
+    changes the x series at almost every cut."""
+    return build_world(11, name, n_stations=16, n_requests=24)
+
+
+def record_lp_solutions(controller):
+    """Collect the LP x-matrix of every ``decide`` call, in order."""
+    learner = getattr(controller, "inner", controller)
+    solutions = []
+    decide = controller.decide
+
+    def recorded(slot, demands):
+        assignment = decide(slot, demands)
+        solutions.append(learner.last_fractional.copy())
+        return assignment
+
+    controller.decide = recorded
+    return solutions
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_lp_run(name):
+    network, model, controller = build_lp_world(name)
+    solutions = record_lp_solutions(controller)
+    result = run_simulation(
+        network, model, controller, horizon=HORIZON,
+        demands_known=name not in PREDICTIVE,
+    )
+    return result, solutions
 
 
 class TestResumeBitIdentity:
@@ -97,6 +134,38 @@ class TestResumeBitIdentity:
         assert resumed.initial_instantiations == full.initial_instantiations
         # Wall-clock columns are re-measured on resume: length only.
         assert resumed.decision_seconds.shape == full.decision_seconds.shape
+
+    @pytest.mark.parametrize("cut", range(1, HORIZON))
+    @pytest.mark.parametrize("name", HOT_STARTED)
+    def test_resume_at_every_slot_keeps_the_lp_hot_start(self, name, cut, tmp_path):
+        """A kill at any slot boundary: the resumed run solves the same LPs
+        from the same bases, so every x and every metric matches."""
+        known = name not in PREDICTIVE
+        full, full_solutions = uninterrupted_lp_run(name)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=cut, resume=True)
+        network, model, controller = build_lp_world(name)
+        run_simulation(
+            network, model, controller, horizon=cut,
+            demands_known=known, config=config,
+        )
+
+        network, model, controller = build_lp_world(name)
+        solutions = record_lp_solutions(controller)
+        resumed = run_simulation(
+            network, model, controller, horizon=HORIZON,
+            demands_known=known, config=config,
+        )
+
+        assert len(solutions) == HORIZON - cut
+        for slot, (x, expected) in enumerate(
+            zip(solutions, full_solutions[cut:]), start=cut
+        ):
+            np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
+        np.testing.assert_array_equal(resumed.delays_ms, full.delays_ms)
+        np.testing.assert_array_equal(resumed.cache_churn, full.cache_churn)
+        np.testing.assert_array_equal(
+            resumed.max_load_fractions, full.max_load_fractions
+        )
 
     def test_wrong_controller_snapshot_rejected(self, tmp_path):
         config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
