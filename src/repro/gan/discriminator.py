@@ -13,7 +13,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.nn.layers import BiLSTM, Dense, Module
-from repro.nn.recurrent import make_birnn
 from repro.nn.tensor import Tensor
 from repro.utils.validation import require_positive
 
@@ -32,10 +31,9 @@ class Discriminator(Module):
         rng: np.random.Generator,
         hidden_size: int = 16,
         num_layers: int = 2,
-        rnn_type: str = "lstm",
     ):
         require_positive("hidden_size", hidden_size)
-        self.bilstm = make_birnn(rnn_type, 1, hidden_size, rng, num_layers=num_layers)
+        self.bilstm = BiLSTM(1, hidden_size, rng, num_layers=num_layers)
         self.head = Dense(self.bilstm.output_size, 1, rng, activation="sigmoid")
 
     @property

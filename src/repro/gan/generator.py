@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.fused import sequence_kernels_enabled
 from repro.nn.functional import softplus
-from repro.nn.layers import Dense, Module
-from repro.nn.recurrent import make_birnn
+from repro.nn.layers import BiLSTM, Dense, Module
 from repro.nn.tensor import Tensor, concat, no_grad, stack
 from repro.utils.validation import require_positive
 
@@ -56,7 +54,6 @@ class Generator(Module):
         cond_channels: int = 1,
         hidden_size: int = 16,
         num_layers: int = 2,
-        rnn_type: str = "lstm",
     ):
         require_positive("noise_dim", noise_dim)
         require_positive("code_dim", code_dim)
@@ -66,9 +63,7 @@ class Generator(Module):
         self.code_dim = int(code_dim)
         self.cond_channels = int(cond_channels)
         input_size = noise_dim + code_dim + cond_channels  # [z, c, conditioning]
-        self.bilstm = make_birnn(
-            rnn_type, input_size, hidden_size, rng, num_layers=num_layers
-        )
+        self.bilstm = BiLSTM(input_size, hidden_size, rng, num_layers=num_layers)
         self.head = Dense(self.bilstm.output_size, 1, rng)
 
     def forward(self, noise: Tensor, codes: Tensor, conditioning: Tensor) -> Tensor:
@@ -93,9 +88,7 @@ class Generator(Module):
                 f"{noise.shape[1]}, {self.cond_channels}), got {conditioning.shape}"
             )
         window = noise.shape[0]
-        if sequence_kernels_enabled() and not (
-            noise.requires_grad or codes.requires_grad or conditioning.requires_grad
-        ):
+        if not (noise.requires_grad or codes.requires_grad or conditioning.requires_grad):
             # The usual case: all three inputs are constants (noise, one-hot
             # codes, observed demands), so the per-slot [z_t, c, x_{t-1}]
             # assembly needs no graph — one numpy concatenate replaces

@@ -92,7 +92,6 @@ class InfoRnnGan:
         cond_channels: int = 1,
         hidden_size: int = 16,
         num_layers: int = 2,
-        rnn_type: str = "lstm",
         info_lambda: float = 0.5,
         supervised_weight: float = 5.0,
         supervised_quantile: float = 0.5,
@@ -122,10 +121,9 @@ class InfoRnnGan:
             cond_channels=cond_channels,
             hidden_size=hidden_size,
             num_layers=num_layers,
-            rnn_type=rnn_type,
         )
         self.discriminator = Discriminator(
-            rng, hidden_size=hidden_size, num_layers=num_layers, rnn_type=rnn_type
+            rng, hidden_size=hidden_size, num_layers=num_layers
         )
         self.q_head = QHead(self.discriminator.feature_size, code_dim, rng)
         if self.dtype != np.float64:

@@ -4,7 +4,8 @@ No deep-learning framework is available in this environment, so the
 Info-RNN-GAN of paper §V is built on this package: a :class:`Tensor` with
 reverse-mode automatic differentiation, Dense / LSTM / Bi-LSTM layers
 (§V-B: "generator G adopts a Bi-LSTM", "discriminator uses a two-layer
-Bi-LSTM"), SGD/Adam optimisers and the GAN losses.  Gradients are verified
+Bi-LSTM") with a fused sequence kernel that runs both directions of a
+Bi-LSTM layer as one graph node, SGD/Adam optimisers and the GAN losses.  Gradients are verified
 against numerical differentiation in the test suite (see
 :mod:`repro.nn.gradcheck`).
 """
@@ -17,15 +18,9 @@ from repro.nn.functional import (
     softmax,
     softplus,
 )
-from repro.nn.fused import (
-    gru_sequence,
-    lstm_sequence,
-    sequence_kernels_enabled,
-    use_sequence_kernels,
-)
+from repro.nn.fused import lstm_sequence
 from repro.nn.gradcheck import gradcheck, numerical_gradient
 from repro.nn.layers import BiLSTM, Dense, LSTM, LSTMCell, Module, Sequential
-from repro.nn.recurrent import BiGRU, GRU, GRUCell, make_birnn
 from repro.nn.optim import Adam, Optimizer, Sgd
 from repro.nn.serialize import (
     load_module_state_dict,
@@ -43,17 +38,10 @@ __all__ = [
     "mse",
     "softmax",
     "softplus",
-    "gru_sequence",
     "lstm_sequence",
-    "sequence_kernels_enabled",
-    "use_sequence_kernels",
     "gradcheck",
     "numerical_gradient",
     "BiLSTM",
-    "BiGRU",
-    "GRU",
-    "GRUCell",
-    "make_birnn",
     "Dense",
     "LSTM",
     "LSTMCell",

@@ -1,132 +1,124 @@
-"""Fused sequence kernels for LSTM/GRU: one autograd node per layer pass.
+"""Fused LSTM sequence kernel: one autograd node per layer pass.
 
 The stepwise recurrent path builds ~15 graph nodes per timestep (slices,
 matmuls, gate nonlinearities, state updates); at the GAN's scale the
 Python/closure overhead of those nodes dominates the arithmetic.  The
-kernels here run the whole ``(T, B, in)`` sequence as **one** graph node:
+kernel here runs a whole ``(T, B, in)`` sequence as **one** graph node,
+for ``D`` stacked directions at once (``D = 1`` for :class:`LSTM`,
+``D = 2`` for one :class:`BiLSTM` layer):
 
 * the input-to-hidden projection is hoisted out of the time loop and
-  computed for the entire sequence in a single GEMM per layer/direction
-  (it does not depend on the recurrent state);
-* the per-step recurrence runs in plain numpy, caching the activations
-  needed by the hand-written BPTT backward (skipped entirely under
-  :class:`~repro.nn.tensor.no_grad`);
+  computed for the entire sequence in one batched GEMM over the
+  direction axis (it does not depend on the recurrent state);
+* the per-step recurrence runs in plain numpy on ``(D, B, 4H)`` gates —
+  one batched ``np.matmul`` per step for all directions — caching the
+  activations needed by the hand-written BPTT backward (skipped entirely
+  under :class:`~repro.nn.tensor.no_grad`);
 * the backward pass is fully vectorised: the per-step gate deltas are
-  accumulated into ``(T, B, ·)`` arrays and the weight/bias/input
+  accumulated into ``(D, T, B, ·)`` arrays and the weight/bias/input
   gradients fall out of three batched GEMMs.
 
 **Bit-identity contract**: with the weights held in the cells' fused
-layout, the kernels evaluate exactly the expression the (split-form)
+layout, the kernel evaluates exactly the expression the (split-form)
 stepwise cells evaluate, in the same floating-point order —
 ``(x_t @ W_x + b) + h @ W_h`` with the shared
 :func:`~repro.nn.tensor._stable_sigmoid` — so fused and stepwise forward
 outputs are identical in float64 (asserted in the test suite), not merely
-close.  The only float difference between a big GEMM over ``(T*B, in)``
-and per-step GEMMs over ``(B, in)`` would come from BLAS reduction-order
-changes, which do not occur for row-partitioned GEMMs (each output row is
-an independent dot product); this is also covered by the bit-identity
-tests.
-
-``use_sequence_kernels(False)`` switches :class:`~repro.nn.layers.LSTM` /
-:class:`~repro.nn.recurrent.GRU` back to the stepwise path — used by the
-benchmarks to measure the fused speedup against the reference.
+close.  A GEMM over ``(T*B, in)`` rows equals per-step GEMMs over
+``(B, in)`` rows because row-partitioned GEMMs do not change the BLAS
+reduction order, and a matmul over a leading direction axis equals one
+2-D GEMM per direction; both are tested, not assumed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.tensor import Tensor, _make_node, _stable_sigmoid, is_grad_enabled
 
-__all__ = [
-    "lstm_sequence",
-    "gru_sequence",
-    "use_sequence_kernels",
-    "sequence_kernels_enabled",
-]
-
-_KERNELS_ENABLED = [True]
-
-
-def sequence_kernels_enabled() -> bool:
-    """Whether LSTM/GRU forward uses the fused kernels (default: yes)."""
-    return _KERNELS_ENABLED[0]
-
-
-@contextmanager
-def use_sequence_kernels(enabled: bool):
-    """Temporarily enable/disable the fused kernels (benchmark baseline)."""
-    previous = _KERNELS_ENABLED[0]
-    _KERNELS_ENABLED[0] = bool(enabled)
-    try:
-        yield
-    finally:
-        _KERNELS_ENABLED[0] = previous
-
-
-def _needs_grad(*tensors: Tensor) -> bool:
-    return is_grad_enabled() and any(t.requires_grad for t in tensors)
+__all__ = ["lstm_sequence", "merge_directions"]
 
 
 def lstm_sequence(
-    sequence: Tensor, weight: Tensor, bias: Tensor, hidden_size: int
+    sequence: Tensor,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    hidden_size: int,
 ) -> Tensor:
-    """Run one LSTM layer over ``(T, B, in)`` as a single autograd node.
+    """Run ``D`` stacked LSTM directions over a sequence as one autograd node.
 
-    ``weight``/``bias`` use :class:`~repro.nn.layers.LSTMCell`'s fused
-    layout — ``weight (in+H, 4H)`` over ``[x, h]``, gate order
-    ``i, f, g, o`` — and the zero initial state of
-    ``LSTMCell.initial_state``.  Returns the hidden outputs ``(T, B, H)``.
+    ``weights``/``biases`` hold one pair per direction in
+    :class:`~repro.nn.layers.LSTMCell`'s fused layout — ``weight (in+H,
+    4H)`` over ``[x, h]``, gate order ``i, f, g, o`` — and every direction
+    starts from ``LSTMCell.initial_state``'s zero state.
+
+    ``sequence`` is either ``(T, B, in)``, shared by the directions —
+    direction 0 reads it in time order and direction 1 (``D = 2``)
+    reversed — or ``(D, T, B, in)``, one input per direction, as this
+    kernel returns it.  Returns the hidden outputs ``(D, T, B, H)``, each
+    direction in the time order it read.
     """
+    weights, biases = tuple(weights), tuple(biases)
+    D = len(weights)
     X = sequence.data
-    T, B, In = X.shape
+    shared = X.ndim == 3
+    if shared:
+        if D not in (1, 2):
+            raise ValueError(f"a shared input feeds 1 or 2 directions, got {D}")
+        X = np.stack((X, X[::-1])[:D])
+    elif X.shape[0] != D:
+        raise ValueError(f"input holds {X.shape[0]} directions, weights {D}")
+    _, T, B, In = X.shape
     H = int(hidden_size)
-    W = weight.data
-    b = bias.data
-    w_x, w_h = W[:In], W[In:]
+    W = np.stack([w.data for w in weights])
+    b = np.stack([bias.data for bias in biases])
+    w_x, w_h = W[:, :In], W[:, In:]
 
-    # Input-to-hidden projection for the whole sequence: one GEMM, with
-    # the bias folded in by one batched add (elementwise, so every
-    # per-step value matches the stepwise `x @ w_x + bias` exactly).
-    xw = (X.reshape(T * B, In) @ w_x).reshape(T, B, 4 * H)
-    xw += b
+    # Input-to-hidden projection for the whole sequence: one GEMM per
+    # direction, with the bias folded in by one batched add (elementwise,
+    # so every per-step value matches the stepwise `x @ w_x + bias`).
+    x_flat = X.reshape(D, T * B, In)
+    xw = (x_flat @ w_x).reshape(D, T, B, 4 * H)
+    xw += b[:, np.newaxis]
 
-    track = _needs_grad(sequence, weight, bias)
-    outputs = np.empty((T, B, H), dtype=xw.dtype)
-    h = np.zeros((B, H), dtype=xw.dtype)
-    c = np.zeros((B, H), dtype=xw.dtype)
+    track = is_grad_enabled() and any(
+        t.requires_grad for t in (sequence, *weights, *biases)
+    )
+    outputs = np.empty((D, T, B, H), dtype=xw.dtype)
+    h = np.zeros((D, B, H), dtype=xw.dtype)
+    c = np.zeros((D, B, H), dtype=xw.dtype)
     if track:
-        sig_gates = np.empty((T, B, 4 * H), dtype=xw.dtype)
-        gates_g = np.empty((T, B, H), dtype=xw.dtype)
-        tanh_cs = np.empty((T, B, H), dtype=xw.dtype)
-        c_prevs = np.empty((T, B, H), dtype=xw.dtype)
-        h_prevs = np.empty((T, B, H), dtype=xw.dtype)
+        sig_gates = np.empty((D, T, B, 4 * H), dtype=xw.dtype)
+        gates_g = np.empty((D, T, B, H), dtype=xw.dtype)
+        tanh_cs = np.empty((D, T, B, H), dtype=xw.dtype)
+        c_prevs = np.empty((D, T, B, H), dtype=xw.dtype)
+        h_prevs = np.empty((D, T, B, H), dtype=xw.dtype)
 
     for t in range(T):
-        gates = xw[t] + h @ w_h
+        gates = xw[:, t] + h @ w_h
         # One sigmoid pass over the whole gate block — i, f and o are the
         # columns that matter; the g columns come out wrong-activation and
         # are simply never read (at this scale per-call ufunc overhead
         # outweighs H wasted columns).  Elementwise, so each used column
         # is bit-identical to a per-gate application.
         sig = _stable_sigmoid(gates)
-        i = sig[:, 0 * H : 1 * H]
-        f = sig[:, 1 * H : 2 * H]
-        o = sig[:, 3 * H : 4 * H]
-        g = np.tanh(gates[:, 2 * H : 3 * H])
+        i = sig[..., 0 * H : 1 * H]
+        f = sig[..., 1 * H : 2 * H]
+        o = sig[..., 3 * H : 4 * H]
+        g = np.tanh(gates[..., 2 * H : 3 * H])
         if track:
-            sig_gates[t] = sig
-            gates_g[t] = g
-            c_prevs[t] = c
-            h_prevs[t] = h
+            sig_gates[:, t] = sig
+            gates_g[:, t] = g
+            c_prevs[:, t] = c
+            h_prevs[:, t] = h
         c = f * c + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
         if track:
-            tanh_cs[t] = tanh_c
-        outputs[t] = h
+            tanh_cs[:, t] = tanh_c
+        outputs[:, t] = h
 
     if not track:
         return Tensor._node(outputs)
@@ -138,137 +130,65 @@ def lstm_sequence(
         sig_d = sig_gates * (1.0 - sig_gates)
         g_d = 1.0 - gates_g**2
         tanh_c_d = 1.0 - tanh_cs**2
-        w_h_t = w_h.T
-        dh_next = np.zeros((B, H), dtype=outputs.dtype)
-        dc_next = np.zeros((B, H), dtype=outputs.dtype)
-        d_gates = np.empty((T, B, 4 * H), dtype=outputs.dtype)
+        w_h_t = np.swapaxes(w_h, -1, -2)
+        dh_next = np.zeros((D, B, H), dtype=outputs.dtype)
+        dc_next = np.zeros((D, B, H), dtype=outputs.dtype)
+        d_gates = np.empty((D, T, B, 4 * H), dtype=outputs.dtype)
         for t in range(T - 1, -1, -1):
-            dh = grad[t] + dh_next
-            sig = sig_gates[t]
-            sd = sig_d[t]
-            dc = dh * sig[:, 3 * H : 4 * H] * tanh_c_d[t] + dc_next
-            d_gates[t, :, 0 * H : 1 * H] = (dc * gates_g[t]) * sd[:, 0 * H : 1 * H]
-            d_gates[t, :, 1 * H : 2 * H] = (dc * c_prevs[t]) * sd[:, 1 * H : 2 * H]
-            d_gates[t, :, 2 * H : 3 * H] = (dc * sig[:, 0 * H : 1 * H]) * g_d[t]
-            d_gates[t, :, 3 * H : 4 * H] = (dh * tanh_cs[t]) * sd[:, 3 * H : 4 * H]
-            dc_next = dc * sig[:, 1 * H : 2 * H]
-            dh_next = d_gates[t] @ w_h_t
-        d_flat = d_gates.reshape(T * B, 4 * H)
-        if weight.requires_grad:
-            d_weight = np.empty_like(W)
-            d_weight[:In] = X.reshape(T * B, In).T @ d_flat
-            d_weight[In:] = h_prevs.reshape(T * B, H).T @ d_flat
-            weight._accumulate(d_weight)
-        if bias.requires_grad:
-            bias._accumulate(d_flat.sum(axis=0, keepdims=True))
+            dh = grad[:, t] + dh_next
+            sig = sig_gates[:, t]
+            sd = sig_d[:, t]
+            dc = dh * sig[..., 3 * H : 4 * H] * tanh_c_d[:, t] + dc_next
+            d_gates[:, t, :, 0 * H : 1 * H] = (dc * gates_g[:, t]) * sd[..., 0 * H : 1 * H]
+            d_gates[:, t, :, 1 * H : 2 * H] = (dc * c_prevs[:, t]) * sd[..., 1 * H : 2 * H]
+            d_gates[:, t, :, 2 * H : 3 * H] = (dc * sig[..., 0 * H : 1 * H]) * g_d[:, t]
+            d_gates[:, t, :, 3 * H : 4 * H] = (dh * tanh_cs[:, t]) * sd[..., 3 * H : 4 * H]
+            dc_next = dc * sig[..., 1 * H : 2 * H]
+            dh_next = d_gates[:, t] @ w_h_t
+        d_flat = d_gates.reshape(D, T * B, 4 * H)
+        if any(w.requires_grad for w in weights):
+            d_weight = np.concatenate(
+                (
+                    np.swapaxes(x_flat, -1, -2) @ d_flat,
+                    np.swapaxes(h_prevs.reshape(D, T * B, H), -1, -2) @ d_flat,
+                ),
+                axis=1,
+            )
+            for weight, d_w in zip(weights, d_weight):
+                weight._accumulate(d_w)
+        if any(bias.requires_grad for bias in biases):
+            d_bias = d_flat.sum(axis=1, keepdims=True)
+            for bias, d_b in zip(biases, d_bias):
+                bias._accumulate(d_b)
         if sequence.requires_grad:
-            sequence._accumulate((d_flat @ w_x.T).reshape(T, B, In))
+            d_x = (d_flat @ np.swapaxes(w_x, -1, -2)).reshape(D, T, B, In)
+            if not shared:
+                sequence._accumulate(d_x)
+                return
+            # The reversed direction's gradient first: the order in which
+            # a time flip node ahead of it would have fired, which shows
+            # in the last bit when the input already holds a gradient.
+            if D == 2:
+                sequence._accumulate(d_x[1, ::-1])
+            sequence._accumulate(d_x[0])
 
-    return _make_node(outputs, (sequence, weight, bias), backward)
+    return _make_node(outputs, (sequence, *weights, *biases), backward)
 
 
-def gru_sequence(
-    sequence: Tensor,
-    gate_weight: Tensor,
-    gate_bias: Tensor,
-    candidate_weight: Tensor,
-    candidate_bias: Tensor,
-    hidden_size: int,
-) -> Tensor:
-    """Run one GRU layer over ``(T, B, in)`` as a single autograd node.
+def merge_directions(stacked: Tensor) -> Tensor:
+    """Turn a two-direction ``(2, T, B, H)`` kernel output into ``(T, B, 2H)``.
 
-    Weight layout follows :class:`~repro.nn.recurrent.GRUCell`:
-    ``gate_weight (in+H, 2H)`` over ``[x, h]`` in gate order ``z, r``,
-    ``candidate_weight (in+H, H)`` over ``[x, r*h]``.  Returns the hidden
-    outputs ``(T, B, H)``.
+    Direction 1 ran in reversed time; it is flipped back and concatenated
+    after direction 0 — the Bi-LSTM's output, in one graph node.
     """
-    X = sequence.data
-    T, B, In = X.shape
-    H = int(hidden_size)
-    wg, wn = gate_weight.data, candidate_weight.data
-    bg, bn = gate_bias.data, candidate_bias.data
-    wg_x, wg_h = wg[:In], wg[In:]
-    wn_x, wn_h = wn[:In], wn[In:]
-
-    # Both input projections hoisted out of the loop (two GEMMs total),
-    # biases folded in by one batched add each — elementwise, so the
-    # per-step values match the stepwise `x @ w + bias` exactly.
-    x_flat = X.reshape(T * B, In)
-    xg = (x_flat @ wg_x).reshape(T, B, 2 * H)
-    xg += bg
-    xn = (x_flat @ wn_x).reshape(T, B, H)
-    xn += bn
-
-    track = _needs_grad(sequence, gate_weight, gate_bias, candidate_weight, candidate_bias)
-    outputs = np.empty((T, B, H), dtype=xg.dtype)
-    h = np.zeros((B, H), dtype=xg.dtype)
-    if track:
-        z_r_gates = np.empty((T, B, 2 * H), dtype=xg.dtype)
-        cands = np.empty((T, B, H), dtype=xg.dtype)
-        h_prevs = np.empty((T, B, H), dtype=xg.dtype)
-        r_hs = np.empty((T, B, H), dtype=xg.dtype)
-
-    for t in range(T):
-        gates = xg[t] + h @ wg_h
-        z_r = _stable_sigmoid(gates)  # z and r in one elementwise pass
-        z = z_r[:, :H]
-        r = z_r[:, H : 2 * H]
-        r_h = r * h
-        n = np.tanh(xn[t] + r_h @ wn_h)
-        if track:
-            z_r_gates[t] = z_r
-            cands[t] = n
-            h_prevs[t] = h
-            r_hs[t] = r_h
-        h = (1.0 - z) * n + z * h
-        outputs[t] = h
-
-    if not track:
-        return Tensor._node(outputs)
+    S = stacked.data
+    H = S.shape[-1]
+    out_data = np.concatenate((S[0], S[1, ::-1]), axis=-1)
 
     def backward(grad: np.ndarray) -> None:
-        # Batched recurrence-free derivatives, as in the LSTM backward.
-        sig_d = z_r_gates * (1.0 - z_r_gates)
-        n_d = 1.0 - cands**2
-        wn_h_t = wn_h.T
-        wg_h_t = wg_h.T
-        dh_next = np.zeros((B, H), dtype=outputs.dtype)
-        d_gates = np.empty((T, B, 2 * H), dtype=outputs.dtype)
-        d_npre = np.empty((T, B, H), dtype=outputs.dtype)
-        for t in range(T - 1, -1, -1):
-            dh = grad[t] + dh_next
-            zr = z_r_gates[t]
-            z = zr[:, :H]
-            h_prev = h_prevs[t]
-            dn_pre = (dh * (1.0 - z)) * n_d[t]
-            d_npre[t] = dn_pre
-            drh = dn_pre @ wn_h_t
-            d_gates[t, :, 0:H] = (dh * (h_prev - cands[t])) * sig_d[t, :, :H]
-            d_gates[t, :, H : 2 * H] = (drh * h_prev) * sig_d[t, :, H : 2 * H]
-            dh_next = dh * z + drh * zr[:, H : 2 * H] + d_gates[t] @ wg_h_t
-        dg_flat = d_gates.reshape(T * B, 2 * H)
-        dn_flat = d_npre.reshape(T * B, H)
-        if gate_weight.requires_grad:
-            d_wg = np.empty_like(wg)
-            d_wg[:In] = x_flat.T @ dg_flat
-            d_wg[In:] = h_prevs.reshape(T * B, H).T @ dg_flat
-            gate_weight._accumulate(d_wg)
-        if gate_bias.requires_grad:
-            gate_bias._accumulate(dg_flat.sum(axis=0, keepdims=True))
-        if candidate_weight.requires_grad:
-            d_wn = np.empty_like(wn)
-            d_wn[:In] = x_flat.T @ dn_flat
-            d_wn[In:] = r_hs.reshape(T * B, H).T @ dn_flat
-            candidate_weight._accumulate(d_wn)
-        if candidate_bias.requires_grad:
-            candidate_bias._accumulate(dn_flat.sum(axis=0, keepdims=True))
-        if sequence.requires_grad:
-            sequence._accumulate(
-                (dg_flat @ wg_x.T + dn_flat @ wn_x.T).reshape(T, B, In)
-            )
+        d_stacked = np.empty_like(S)
+        d_stacked[0] = grad[..., :H]
+        d_stacked[1] = grad[::-1, :, H:]
+        stacked._accumulate(d_stacked)
 
-    return _make_node(
-        outputs,
-        (sequence, gate_weight, gate_bias, candidate_weight, candidate_bias),
-        backward,
-    )
+    return _make_node(out_data, (stacked,), backward)

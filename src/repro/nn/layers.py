@@ -7,13 +7,12 @@ outputs, exactly that architecture.
 
 Sequence convention: time-major tensors of shape ``(T, B, features)``.
 
-Execution paths: :class:`LSTM` (and the GRU twin in
-:mod:`repro.nn.recurrent`) runs through the fused sequence kernels of
-:mod:`repro.nn.fused` by default — one autograd node and one
-input-projection GEMM per layer — and falls back to the per-step cell
-loop (``forward_stepwise``) when the kernels are disabled.  Both paths
-evaluate the cell expression ``(x_t @ W_x + b) + h @ W_h`` in the same
-floating-point order, so their outputs are bit-identical in float64
+Execution paths: :class:`LSTM` and :class:`BiLSTM` run through the fused
+sequence kernel of :mod:`repro.nn.fused` — one autograd node per layer,
+covering both directions of a Bi-LSTM layer.  ``forward_stepwise`` keeps
+the per-step cell loop as the reference the tests compare against.  Both
+paths evaluate the cell expression ``(x_t @ W_x + b) + h @ W_h`` in the
+same floating-point order, so their outputs are bit-identical in float64
 (asserted in the test suite).
 """
 
@@ -25,8 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.nn import fused as fused_kernels
-from repro.nn.fused import lstm_sequence
+from repro.nn.fused import lstm_sequence, merge_directions
 from repro.nn.tensor import Tensor, concat, stack
 from repro.utils.validation import require_positive
 
@@ -228,17 +226,14 @@ class LSTM(Module):
     def forward(self, sequence: Tensor) -> Tensor:
         """Run the stack; returns hidden outputs of the top layer, (T, B, H).
 
-        Uses the fused sequence kernel (one autograd node per layer)
-        unless :func:`repro.nn.fused.use_sequence_kernels` disabled it.
+        One fused kernel node per layer (a single direction).
         """
         self._validate(sequence)
-        if not fused_kernels.sequence_kernels_enabled():
-            return self.forward_stepwise(sequence)
         with obs.span("nn.forward"):
             out = sequence
             for cell in self.cells:
-                out = lstm_sequence(out, cell.weight, cell.bias, cell.hidden_size)
-            return out
+                out = lstm_sequence(out, [cell.weight], [cell.bias], cell.hidden_size)
+            return out.reshape(*sequence.shape[:2], self.hidden_size)
 
     def forward_stepwise(self, sequence: Tensor) -> Tensor:
         """Per-step reference path: one graph node per op per timestep."""
@@ -264,7 +259,10 @@ class BiLSTM(Module):
     """Bidirectional LSTM: forward + time-reversed stacks, concatenated.
 
     Output shape is ``(T, B, 2 * hidden)`` — the decision at slot `t` sees
-    "historical and future features in the data sample" (§V-B).
+    "historical and future features in the data sample" (§V-B).  The two
+    stacks keep their own cells (so parameter order and checkpoints are
+    those of two :class:`LSTM` modules), but :meth:`forward` runs layer
+    `l` of both as one two-direction kernel node.
     """
 
     def __init__(
@@ -285,8 +283,25 @@ class BiLSTM(Module):
         return 2 * self.hidden_size
 
     def forward(self, sequence: Tensor) -> Tensor:
-        forward_out = self.forward_lstm(sequence)
-        backward_out = self.backward_lstm(sequence.flip(0)).flip(0)
+        """Both directions per layer in one kernel node, then one merge node."""
+        self.forward_lstm._validate(sequence)
+        with obs.span("nn.forward"):
+            out = sequence
+            for forward_cell, backward_cell in zip(
+                self.forward_lstm.cells, self.backward_lstm.cells
+            ):
+                out = lstm_sequence(
+                    out,
+                    [forward_cell.weight, backward_cell.weight],
+                    [forward_cell.bias, backward_cell.bias],
+                    self.hidden_size,
+                )
+            return merge_directions(out)
+
+    def forward_stepwise(self, sequence: Tensor) -> Tensor:
+        """Per-step reference path: two stepwise stacks, flips and a concat."""
+        forward_out = self.forward_lstm.forward_stepwise(sequence)
+        backward_out = self.backward_lstm.forward_stepwise(sequence.flip(0)).flip(0)
         return concat([forward_out, backward_out], axis=-1)
 
 

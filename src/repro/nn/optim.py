@@ -64,6 +64,16 @@ class Optimizer(abc.ABC):
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` snapshot, in place."""
 
+    def _load_slots(self, slots: Sequence[Any], label: str) -> List[np.ndarray]:
+        """Copies of checkpointed slot buffers, each in its parameter's dtype.
+
+        A float32 model resumed with float64 moments would no longer step
+        like the uninterrupted run.
+        """
+        slots = [np.asarray(slot) for slot in slots]
+        self._check_slot_shapes(slots, label)
+        return [slot.astype(p.data.dtype) for slot, p in zip(slots, self._params)]
+
     def _check_slot_shapes(self, slots: Sequence[np.ndarray], label: str) -> None:
         if len(slots) != len(self._params):
             raise ValueError(
@@ -101,9 +111,7 @@ class Sgd(Optimizer):
         return {"velocity": [v.copy() for v in self._velocity]}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        velocity = [np.asarray(v, dtype=float) for v in state["velocity"]]
-        self._check_slot_shapes(velocity, "velocity")
-        self._velocity = [v.copy() for v in velocity]
+        self._velocity = self._load_slots(state["velocity"], "velocity")
 
 
 class Adam(Optimizer):
@@ -153,10 +161,7 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        m = [np.asarray(x, dtype=float) for x in state["m"]]
-        v = [np.asarray(x, dtype=float) for x in state["v"]]
-        self._check_slot_shapes(m, "first-moment")
-        self._check_slot_shapes(v, "second-moment")
+        m = self._load_slots(state["m"], "first-moment")
+        v = self._load_slots(state["v"], "second-moment")
         self._t = int(state["t"])
-        self._m = [x.copy() for x in m]
-        self._v = [x.copy() for x in v]
+        self._m, self._v = m, v

@@ -21,7 +21,12 @@ Fast-execution machinery (the per-op semantics are unchanged):
   merged when an op first connects them).  Creation order *is* a
   topological order, so :meth:`Tensor.backward` replays the tape in
   reverse instead of re-deriving the ordering with a graph search on
-  every call.
+  every call.  The tape holds *weak* references: every node points at
+  its tape, so strong entries would make each graph a reference cycle
+  that lives until a full garbage collection.  With weak entries a graph
+  is freed by reference count as soon as its last tensor is dropped; a
+  node that a backward needs is an ancestor of the root, kept alive
+  through its children's ``_parents``.
 * **Gradient-buffer reuse** — each tensor owns one persistent gradient
   buffer; accumulation writes ``+=`` into it and :meth:`zero_grad` only
   drops the ``grad`` reference (the buffer is kept and overwritten by the
@@ -37,6 +42,7 @@ promotes a ``float32`` graph.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -130,6 +136,7 @@ class Tensor:
         "_grad_buffer",
         "_tape",
         "_visit",
+        "__weakref__",
     )
 
     def __init__(
@@ -149,7 +156,7 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._grad_buffer: Optional[np.ndarray] = None
-        self._tape: Optional[List["Tensor"]] = None
+        self._tape: Optional[List["weakref.ref[Tensor]"]] = None
         self._visit = 0
 
     @classmethod
@@ -282,12 +289,15 @@ class Tensor:
             return
         with obs.span("nn.backward"):
             position = len(tape) - 1
-            while tape[position] is not self:
+            while tape[position]() is not self:
                 position -= 1
             for index in range(position, -1, -1):
-                node = tape[index]
+                # A dead entry was unreachable from this root: it could not
+                # have accumulated a gradient in this pass.
+                node = tape[index]()
                 if (
-                    node._visit == epoch
+                    node is not None
+                    and node._visit == epoch
                     and node._backward is not None
                     and node.grad is not None
                 ):
@@ -509,29 +519,32 @@ def _make_node(
     result is a plain constant tensor.  Otherwise the node joins the tape
     shared through its parents; two distinct tapes can have no cross
     edges (the op connecting them is by definition the first such edge),
-    so merging by concatenation preserves topological order.
+    so merging by concatenation preserves topological order.  Merging
+    drops the entries of nodes that are already dead.
     """
     out = Tensor._node(data)
     if not _GRAD_ENABLED or not any(p.requires_grad for p in parents):
         return out
-    tape: Optional[List[Tensor]] = None
+    tape: Optional[List["weakref.ref[Tensor]"]] = None
     for parent in parents:
         parent_tape = parent._tape
         if parent_tape is None or parent_tape is tape:
             continue
         if tape is None:
             tape = parent_tape
-        else:
-            for node in parent_tape:
+            continue
+        for entry in parent_tape:
+            node = entry()
+            if node is not None:
                 node._tape = tape
-            tape.extend(parent_tape)
+                tape.append(entry)
     if tape is None:
         tape = []
     out.requires_grad = True
     out._parents = parents
     out._backward = backward
     out._tape = tape
-    tape.append(out)
+    tape.append(weakref.ref(out))
     return out
 
 

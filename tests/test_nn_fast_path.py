@@ -3,8 +3,10 @@
 Covers the contracts the fused sequence kernels, the ``no_grad`` mode and
 the gradient-buffer reuse must uphold:
 
-* fused LSTM/GRU forward outputs are **bit-identical** (``array_equal``,
-  not ``allclose``) to the per-step cell path in float64;
+* fused LSTM/Bi-LSTM forward outputs are **bit-identical**
+  (``array_equal``, not ``allclose``) to the per-step cell path in
+  float64, and a matmul over the kernel's leading direction axis gives
+  the bits of one 2-D GEMM per direction;
 * fused backward matches the per-step autograd gradients and numerical
   central differences (gradcheck);
 * ``no_grad()`` produces graph-free tensors (no ``_parents`` /
@@ -12,26 +14,20 @@ the gradient-buffer reuse must uphold:
 * ``detach()`` shares the underlying array (explicit data-sharing
   contract) while cutting the graph;
 * the creation-order tape fires each node at most once per backward and
-  never re-fires nodes of an earlier backward sharing the same tape;
-* the float32 opt-in propagates through modules while gradcheck stays
-  float64-only.
+  never re-fires nodes of an earlier backward sharing the same tape, and
+  a graph is freed by reference count, without the garbage collector;
+* the float32 opt-in propagates through modules (and through a
+  checkpoint resume) while gradcheck stays float64-only.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    GRU,
-    LSTM,
-    BiGRU,
-    BiLSTM,
-    gradcheck,
-    is_grad_enabled,
-    no_grad,
-    use_sequence_kernels,
-)
+from repro.nn import LSTM, BiLSTM, fused, gradcheck, is_grad_enabled, no_grad, tensor
 from repro.nn.layers import LSTMCell
-from repro.nn.recurrent import GRUCell
 from repro.nn.tensor import Tensor
 
 
@@ -41,9 +37,7 @@ def _sequence(seed, shape=(7, 3, 4)):
 
 RNN_FACTORIES = {
     "lstm": lambda rng: LSTM(4, 5, rng, num_layers=2),
-    "gru": lambda rng: GRU(4, 5, rng, num_layers=2),
-    "bilstm": lambda rng: BiLSTM(4, 5, rng),
-    "bigru": lambda rng: BiGRU(4, 5, rng),
+    "bilstm": lambda rng: BiLSTM(4, 5, rng, num_layers=2),
 }
 
 
@@ -53,8 +47,7 @@ class TestFusedBitIdentity:
         model = RNN_FACTORIES[kind](np.random.default_rng(0))
         x = _sequence(1)
         fused_out = model(Tensor(x))
-        with use_sequence_kernels(False):
-            stepwise_out = model(Tensor(x))
+        stepwise_out = model.forward_stepwise(Tensor(x))
         assert fused_out.data.dtype == np.float64
         assert np.array_equal(fused_out.data, stepwise_out.data)
 
@@ -63,27 +56,55 @@ class TestFusedBitIdentity:
         model = RNN_FACTORIES[kind](np.random.default_rng(2))
         x = _sequence(3)
 
-        def grads(enabled):
+        def grads(forward):
             for p in model.parameters():
                 p.grad = None
             inp = Tensor(x, requires_grad=True)
-            with use_sequence_kernels(enabled):
-                (model(inp) ** 2).sum().backward()
+            (forward(inp) ** 2).sum().backward()
             return [p.grad.copy() for p in model.parameters()] + [inp.grad.copy()]
 
-        for fused_grad, step_grad in zip(grads(True), grads(False)):
+        for fused_grad, step_grad in zip(grads(model), grads(model.forward_stepwise)):
             np.testing.assert_allclose(fused_grad, step_grad, rtol=1e-9, atol=1e-12)
 
-    def test_kernel_toggle_restores(self):
-        from repro.nn import sequence_kernels_enabled
+    def test_bilstm_layer_is_one_node(self):
+        model = BiLSTM(4, 5, np.random.default_rng(22), num_layers=2)
+        out = model(Tensor(_sequence(23), requires_grad=True))
+        # One two-direction kernel node per layer, then the merge node.
+        assert len(out._tape) == 3
 
-        assert sequence_kernels_enabled()
-        with use_sequence_kernels(False):
-            assert not sequence_kernels_enabled()
-            with use_sequence_kernels(True):
-                assert sequence_kernels_enabled()
-            assert not sequence_kernels_enabled()
-        assert sequence_kernels_enabled()
+
+class TestDirectionAxisMatmul:
+    """A matmul over a leading axis of 2 equals two 2-D GEMMs, bit for bit.
+
+    These are the products the kernel batches over its direction axis, at
+    the GAN's shapes, including the transposed operands of the backward.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [16, 60])
+    @pytest.mark.parametrize("features", [1, 8, 10, 20])
+    def test_batched_products_equal_per_direction_gemms(self, dtype, batch, features):
+        rng = np.random.default_rng(batch + features)
+        window, hidden = 6, 10
+        weight = rng.normal(size=(2, features + hidden, 4 * hidden)).astype(dtype)
+        w_x, w_h = weight[:, :features], weight[:, features:]
+        x = rng.normal(size=(2, window * batch, features)).astype(dtype)
+        h = rng.normal(size=(2, batch, hidden)).astype(dtype)
+        h_prevs = rng.normal(size=(2, window * batch, hidden)).astype(dtype)
+        d_gates = rng.normal(size=(2, window, batch, 4 * hidden)).astype(dtype)
+        d_flat = d_gates.reshape(2, window * batch, 4 * hidden)
+        pairs = [
+            (x, w_x),
+            (h, w_h),
+            (d_gates[:, 2], np.swapaxes(w_h, -1, -2)),
+            (d_flat, np.swapaxes(w_x, -1, -2)),
+            (np.swapaxes(x, -1, -2), d_flat),
+            (np.swapaxes(h_prevs, -1, -2), d_flat),
+        ]
+        for left, right in pairs:
+            batched = left @ right
+            for direction in range(2):
+                assert np.array_equal(batched[direction], left[direction] @ right[direction])
 
 
 class TestFusedGradcheck:
@@ -96,14 +117,14 @@ class TestFusedGradcheck:
 
         gradcheck(f, model.parameters(), rtol=1e-3)
 
-    def test_gru_sequence_gradcheck(self):
-        model = GRU(3, 4, np.random.default_rng(6))
-        x = Tensor(_sequence(7, (5, 2, 3)))
+    def test_bilstm_gradcheck_with_input(self):
+        model = BiLSTM(3, 4, np.random.default_rng(6), num_layers=2)
+        x = Tensor(_sequence(7, (5, 2, 3)), requires_grad=True)
 
         def f():
             return (model(x) ** 2).sum()
 
-        gradcheck(f, model.parameters(), rtol=1e-3)
+        gradcheck(f, model.parameters() + [x], rtol=1e-3)
 
     def test_gradient_flows_to_input_sequence(self):
         model = LSTM(3, 4, np.random.default_rng(8))
@@ -142,7 +163,7 @@ class TestNoGrad:
         assert is_grad_enabled()
 
     def test_matches_recorded_forward(self):
-        model = GRU(4, 5, np.random.default_rng(12))
+        model = LSTM(4, 5, np.random.default_rng(12))
         x = _sequence(13)
         recorded = model(Tensor(x))
         with no_grad():
@@ -208,6 +229,38 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(t.grad, 2.0 * np.ones(4))
 
 
+class TestGraphLifetime:
+    def test_train_step_graph_freed_without_gc(self, monkeypatch):
+        from repro.gan import InfoRnnGan
+
+        gan = InfoRnnGan(code_dim=2, rng=np.random.default_rng(24), hidden_size=5)
+        rng = np.random.default_rng(25)
+        real = rng.uniform(1.0, 2.0, size=(6, 4, 1))
+        conditioning = rng.uniform(1.0, 2.0, size=(6, 4, 1))
+        codes = np.eye(2)[rng.integers(0, 2, size=4)]
+        nodes = []
+        make_node = tensor._make_node
+
+        def recording(*args):
+            out = make_node(*args)
+            if out.requires_grad:
+                nodes.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(tensor, "_make_node", recording)
+        monkeypatch.setattr(fused, "_make_node", recording)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gan.train_step(real, conditioning, codes)
+            live = sum(ref() is not None for ref in nodes)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert nodes
+        assert live == 0
+
+
 class TestFloat32Path:
     def test_module_astype_converts_parameters(self):
         model = LSTM(4, 5, np.random.default_rng(14)).astype(np.float32)
@@ -220,11 +273,6 @@ class TestFloat32Path:
         state = lstm_cell.initial_state(2)
         h2, c2 = lstm_cell(Tensor(np.ones((2, 3), dtype=np.float32)), state)
         assert h2.data.dtype == np.float32 and c2.data.dtype == np.float32
-        gru_cell = GRUCell(3, 4, np.random.default_rng(17)).astype(np.float32)
-        out = gru_cell(
-            Tensor(np.ones((2, 3), dtype=np.float32)), gru_cell.initial_state(2)
-        )
-        assert out.data.dtype == np.float32
 
     def test_scalar_arithmetic_stays_float32(self):
         t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -245,8 +293,50 @@ class TestFloat32Path:
         sample = gan.generate(codes, conditioning, n_samples=2)
         assert sample.dtype == np.float32
 
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        from repro.gan import InfoRnnGan
+        from repro.state import load_checkpoint, save_checkpoint
+
+        def make():
+            return InfoRnnGan(code_dim=2, rng=np.random.default_rng(26), dtype="float32")
+
+        rng = np.random.default_rng(27)
+        batches = [
+            (
+                rng.uniform(1.0, 2.0, size=(6, 3, 1)),
+                rng.uniform(1.0, 2.0, size=(6, 3, 1)),
+                np.eye(2)[rng.integers(0, 2, size=3)],
+            )
+            for _ in range(2)
+        ]
+        uninterrupted = make()
+        uninterrupted.train_step(*batches[0])
+        path = save_checkpoint(tmp_path / "gan.npz", uninterrupted.state_dict(), kind="gan")
+        resumed = make()
+        resumed.load_state_dict(load_checkpoint(path, kind="gan")[0])
+        uninterrupted.train_step(*batches[1])
+        resumed.train_step(*batches[1])
+        for module in ("generator", "discriminator", "q_head"):
+            for a, b in zip(
+                getattr(uninterrupted, module).parameters(),
+                getattr(resumed, module).parameters(),
+            ):
+                assert b.data.dtype == np.float32
+                assert np.array_equal(a.data, b.data)
+
+    def test_optimizer_slots_load_in_parameter_dtype(self):
+        from repro.nn import Adam, Sgd
+
+        t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        adam, sgd = Adam([t]), Sgd([t], momentum=0.5)
+        adam.load_state_dict({"t": 1, "m": [np.ones(3)], "v": [np.ones(3)]})
+        sgd.load_state_dict({"velocity": [np.ones(3)]})
+        assert adam.state_dict()["m"][0].dtype == np.float32
+        assert adam.state_dict()["v"][0].dtype == np.float32
+        assert sgd.state_dict()["velocity"][0].dtype == np.float32
+
     def test_gradcheck_rejects_float32(self):
-        model = GRU(3, 4, np.random.default_rng(20)).astype(np.float32)
+        model = LSTM(3, 4, np.random.default_rng(20)).astype(np.float32)
         x = Tensor(_sequence(21, (4, 2, 3)), dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
             gradcheck(lambda: (model(x) ** 2).sum(), model.parameters())
