@@ -16,7 +16,9 @@ is the only place the repo builds the caching program:
   reproduces scipy's own HiGHS LP front end bit for bit
   (``tests/lp_hot_start_corpus.npz`` pins this);
 * given the basis of the previous slot's solve (:class:`LpBasis`) it runs
-  primal simplex from that basis with presolve off.  Under given demands
+  primal simplex from that basis with presolve off; `OL_GD`'s own LP and
+  the clairvoyant oracle (:mod:`repro.core.optimal`) both start every
+  slot after the first this way.  Under given demands
   only the objective moves between slots, so the old optimal basis stays
   primal feasible and the hot solve takes a fraction of the iterations.
   A hot start may land on another optimal vertex of a degenerate LP;
@@ -203,15 +205,24 @@ class PerSlotLpSolver:
         return x, LpBasis(highs.getBasis())
 
     def solve_with_objective(
-        self, demands_mb: np.ndarray, theta_ms: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """Like :meth:`solve` without a start, returning the optimal Eq. (3)
-        objective instead of the basis.
+        self,
+        demands_mb: np.ndarray,
+        theta_ms: np.ndarray,
+        start: Optional[LpBasis] = None,
+    ) -> Tuple[float, LpBasis]:
+        """Like :meth:`solve`, returning the optimal Eq. (3) objective
+        instead of the x-matrix.
 
         The objective value is what the clairvoyant comparator needs; it
-        is unique even when the argmin is degenerate.
+        is unique even when the argmin is degenerate, so a hot-started
+        solve matches a cold one to rounding.
         """
-        return self.optimum(*self._slot_cost(demands_mb, theta_ms))
+        self._patch(*self._slot_cost(demands_mb, theta_ms))
+        highs = self._run(start)
+        return (
+            float(highs.getInfo().objective_function_value),
+            LpBasis(highs.getBasis()),
+        )
 
     def optimum(
         self, cost_ms: np.ndarray, demands_mb: np.ndarray

@@ -170,12 +170,22 @@ def _fig7_size_trend(figure, profile):
         series[-1] <= 1.25 * series[0] for series in delays.values()
     )
     decreasing = all(series[-1] < series[0] for series in delays.values())
+    if decreasing:
+        trend = "delay decreases with size"
+    elif no_inversion:
+        trend = "non-inverting (a monotone trend needs full averaging)"
+    else:
+        trend = "inverts: a delay grows past 1.25x its first size"
     return ClaimResult(
         "fig7-size-trend",
         no_inversion,
         True,
-        ("delay decreases with size" if decreasing else
-         "non-inverting at quick scale (monotone trend needs full averaging)"),
+        f"{trend}; first -> last size: "
+        + ", ".join(
+            f"{name} {series[0]:.2f} -> {series[-1]:.2f} ms "
+            f"(x{series[-1] / series[0]:.2f}, limit x1.25)"
+            for name, series in sorted(delays.items())
+        ),
     )
 
 

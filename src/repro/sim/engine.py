@@ -8,7 +8,9 @@ One slot of :func:`run_simulation`:
    given-demands setting;
 3. the delay process realises `d_i(t)` and the assignment's cost is
    evaluated (extended Eq. 3, see :mod:`repro.core.assignment`);
-4. optionally, the clairvoyant optimum of the slot is computed for regret;
+4. optionally, the clairvoyant optimum of the slot is computed for regret
+   (by a :class:`~repro.core.optimal.ClairvoyantOracle` the loop holds for
+   the run, hot-started from the previous slot's LP basis);
 5. the controller observes the realised demands and the delays of the
    stations it played.
 
@@ -31,7 +33,7 @@ from numpy.typing import DTypeLike
 from repro import obs
 from repro.core.assignment import Assignment, SlotEvaluator
 from repro.core.controller import Controller
-from repro.core.optimal import clairvoyant_cost, clairvoyant_cost_exact
+from repro.core.optimal import ClairvoyantOracle
 from repro.mec.network import MECNetwork
 from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationResult, SlotRecord
@@ -76,7 +78,11 @@ def run_simulation(
     controller) versus the §V setting (controller predicts internally).
     ``compute_optimal`` additionally solves the slot's clairvoyant LP
     (``exact_optimal`` upgrades it to the exact ILP — small instances
-    only); the optimum lands in each record for regret tracking.
+    only); the optimum lands in each record for regret tracking.  The LP
+    starts from the previous slot's optimal basis, so its optimum matches
+    a cold :func:`repro.core.optimal.clairvoyant_cost` to rounding
+    (tested to 1e-12 relative), not bit for bit; snapshots carry that
+    basis.
     ``metrics`` activates the given :class:`repro.obs.MetricsRegistry` for
     the duration of the run; when omitted, whatever registry is already
     active (e.g. installed by the CLI) keeps receiving the spans.
@@ -147,13 +153,16 @@ def _write_snapshot(
     demand_model: DemandModel,
     result: SimulationResult,
     previous: Assignment,
+    oracle: Optional[ClairvoyantOracle],
     demands_known: bool,
 ) -> None:
     """Snapshot everything a resumed run needs to continue bit-identically.
 
     The previous slot's station assignment travels too: churn is measured
     *between* slots, so the first resumed slot needs the last executed
-    assignment to keep the churn series identical.
+    assignment to keep the churn series identical.  So does the
+    clairvoyant oracle's LP basis (None when the run computes no optimum):
+    the next optimum starts from it.
     """
     state = {
         "controller_name": controller.name,
@@ -161,6 +170,7 @@ def _write_snapshot(
         "demand_model": demand_model.state_dict(),
         "result": result.state_dict(),
         "previous_stations": np.asarray(previous.station_of, dtype=int),
+        "oracle": None if oracle is None else oracle.state_dict(),
     }
     with obs.span("state.save"):
         save_checkpoint(
@@ -181,14 +191,27 @@ def _restore_snapshot(
     controller: Controller,
     demand_model: DemandModel,
     horizon: int,
+    oracle: Optional[ClairvoyantOracle],
 ) -> Tuple[SimulationResult, Assignment]:
-    """Load a snapshot back into ``controller`` and rebuild the series."""
+    """Load a snapshot back into ``controller`` (and ``oracle``) and
+    rebuild the series."""
     with obs.span("state.load"):
         state, _meta = load_checkpoint(path, kind=SIMULATION_KIND)
     if state["controller_name"] != controller.name:
         raise CheckpointError(
             f"{path} holds a {state['controller_name']!r} run, "
             f"this controller is {controller.name!r}"
+        )
+    if "oracle" not in state:
+        raise CheckpointError(
+            f"{path} has no 'oracle' entry (the clairvoyant oracle's LP "
+            "basis); it was written by an older version and cannot resume"
+        )
+    if (state["oracle"] is None) != (oracle is None):
+        raise CheckpointError(
+            f"{path} was written with compute_optimal="
+            f"{state['oracle'] is not None}, this run has "
+            f"compute_optimal={oracle is not None}"
         )
     # Verifies the resumed world realises the same demand trajectory.
     demand_model.load_state_dict(state["demand_model"])
@@ -199,6 +222,8 @@ def _restore_snapshot(
             f"a horizon beyond that, got {horizon}"
         )
     controller.load_state_dict(state["controller"])
+    if oracle is not None:
+        oracle.load_state_dict(state["oracle"])
     previous = Assignment.from_stations(
         np.asarray(state["previous_stations"], dtype=int), controller.requests
     )
@@ -224,6 +249,11 @@ def _run_loop(
     snapshot_path = (
         checkpoint.path_for(controller.name) if checkpoint is not None else None
     )
+    oracle = (
+        ClairvoyantOracle(network, requests, exact=exact_optimal)
+        if compute_optimal
+        else None
+    )
     if (
         checkpoint is not None
         and checkpoint.resume
@@ -231,7 +261,7 @@ def _run_loop(
         and snapshot_path.exists()
     ):
         result, previous = _restore_snapshot(
-            snapshot_path, controller, demand_model, horizon
+            snapshot_path, controller, demand_model, horizon, oracle
         )
     decide_watch = Stopwatch()
     observe_watch = Stopwatch()
@@ -288,16 +318,9 @@ def _run_loop(
             # The clairvoyant optimum reads nothing observe writes; it runs
             # after the controller's own decide -> evaluate -> observe step.
             optimal_ms: Optional[float] = None
-            if compute_optimal:
+            if oracle is not None:
                 with obs.span("sim.optimal"):
-                    if exact_optimal:
-                        optimal_ms = clairvoyant_cost_exact(
-                            network, requests, true_demands, unit_delays
-                        )
-                    else:
-                        optimal_ms = clairvoyant_cost(
-                            network, requests, true_demands, unit_delays
-                        )
+                    optimal_ms = oracle.cost(true_demands, unit_delays)
 
             loads = evaluator.loads_mhz(assignment, true_demands)
             # Churn is change *between* slots; slot 0's cold-start placement
@@ -329,7 +352,7 @@ def _run_loop(
             ):
                 _write_snapshot(
                     snapshot_path, controller, demand_model, result, previous,
-                    demands_known,
+                    oracle, demands_known,
                 )
     finally:
         if failures is not None and original_capacities is not None:

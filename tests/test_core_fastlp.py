@@ -108,7 +108,7 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(seed, n_stations, n_requests)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        _, objective = solver.solve_with_objective(demands, theta)
+        objective, _ = solver.solve_with_objective(demands, theta)
         ref_obj, _ = reference_objective(network, requests, demands, theta)
         assert objective == pytest.approx(ref_obj, rel=1e-9, abs=1e-9)
 
@@ -137,7 +137,8 @@ class TestPerSlotLpSolver:
         network, requests, demands = make_instance(12, 7, 5)
         theta = network.delays.true_means
         solver = PerSlotLpSolver(network, requests)
-        x, objective = solver.solve_with_objective(demands, theta)
+        x, _ = solver.solve(demands, theta)
+        objective, _ = solver.solve_with_objective(demands, theta)
         x_cost, cost_objective = solver.optimum(np.outer(demands, theta), demands)
         np.testing.assert_array_equal(x_cost, x)
         assert cost_objective == objective
@@ -236,7 +237,7 @@ class TestPerSlotLpSolver:
 
 
 class TestClairvoyantSolverCache:
-    """clairvoyant_cost routes through a cached PerSlotLpSolver."""
+    """A ClairvoyantOracle holds one PerSlotLpSolver for a whole run."""
 
     def test_objective_matches_reference_builder(self):
         from repro.core.optimal import clairvoyant_cost
@@ -249,50 +250,50 @@ class TestClairvoyantSolverCache:
                 expected, rel=1e-9, abs=1e-9
             )
 
-    def test_solver_reused_across_slots(self):
-        from repro.core import optimal
+    def test_solver_reused_across_slots(self, monkeypatch):
+        from repro.core import fastlp, optimal
 
+        built = []
+        init = fastlp.PerSlotLpSolver.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(fastlp.PerSlotLpSolver, "__init__", counted)
         network, requests, demands = make_instance(4, 5, 4)
         theta = network.delays.true_means
-        optimal.clairvoyant_cost(network, requests, demands, theta)
-        _, _, solver = optimal._SOLVER_CACHE[0]
-        optimal.clairvoyant_cost(network, requests, 1.5 * demands, theta)
-        assert optimal._SOLVER_CACHE[0][2] is solver  # same instance, no rebuild
-
-    def test_cache_invalidated_on_different_instance(self):
-        from repro.core import optimal
-
-        network_a, requests_a, demands_a = make_instance(5, 5, 4)
-        network_b, requests_b, demands_b = make_instance(6, 6, 5)
-        theta_a = network_a.delays.true_means
-        theta_b = network_b.delays.true_means
-        cost_a = optimal.clairvoyant_cost(network_a, requests_a, demands_a, theta_a)
-        solver_a = optimal._SOLVER_CACHE[0][2]
-        optimal.clairvoyant_cost(network_b, requests_b, demands_b, theta_b)
-        assert optimal._SOLVER_CACHE[0][2] is not solver_a  # rebuilt for new world
-        # And the first world still computes the same cost after eviction.
-        assert optimal.clairvoyant_cost(
-            network_a, requests_a, demands_a, theta_a
-        ) == pytest.approx(cost_a, rel=1e-9)
+        oracle = optimal.ClairvoyantOracle(network, requests)
+        for scale in (1.0, 1.5, 0.5):
+            cost = oracle.cost(scale * demands, theta)
+            assert cost == pytest.approx(
+                optimal.clairvoyant_cost(network, requests, scale * demands, theta),
+                rel=1e-12,
+            )
+        # One solver for the oracle, one per cold clairvoyant_cost call.
+        assert len(built) == 4
+        assert oracle._solver is built[0]
 
     def test_cached_solver_sees_live_capacity_changes(self):
-        from repro.core.optimal import clairvoyant_cost
+        from repro.core.optimal import ClairvoyantOracle, clairvoyant_cost
 
         network, requests, demands = make_instance(7, 4, 6)
         theta = network.delays.true_means
-        baseline = clairvoyant_cost(network, requests, demands, theta)
+        oracle = ClairvoyantOracle(network, requests)
+        baseline = oracle.cost(demands, theta)
         original = [bs.capacity_mhz for bs in network.stations]
         try:
             for bs in network.stations:
                 bs.capacity_mhz *= 10.0
-            relaxed = clairvoyant_cost(network, requests, demands, theta)
+            relaxed = oracle.cost(demands, theta)
+            assert relaxed == pytest.approx(
+                clairvoyant_cost(network, requests, demands, theta), rel=1e-12
+            )
         finally:
             for bs, cap in zip(network.stations, original):
                 bs.capacity_mhz = cap
         assert relaxed <= baseline + 1e-9  # looser capacity cannot cost more
-        assert clairvoyant_cost(network, requests, demands, theta) == pytest.approx(
-            baseline, rel=1e-9
-        )
+        assert oracle.cost(demands, theta) == pytest.approx(baseline, rel=1e-12)
 
 
 class TestVendoredHighs:

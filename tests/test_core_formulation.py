@@ -67,8 +67,8 @@ class TestBuildCachingModel:
         """
         network, requests, demands = small
         theta = network.delays.true_means
-        x, objective = PerSlotLpSolver(network, requests).solve_with_objective(
-            demands, theta
+        x, objective = PerSlotLpSolver(network, requests).optimum(
+            np.outer(demands, theta), demands
         )
         R = len(requests)
         x_cost = float((np.outer(demands, theta) / R * x).sum())

@@ -96,6 +96,44 @@ class TestFig6Claims:
             assert_hard_claims(results)
 
 
+def fig7_like(gan_delays, reg_delays):
+    sizes = [10, 20, 30][: len(gan_delays)]
+    figure = FigureResult("fig7", "sizes", "|BS|", sizes)
+    for gan, reg in zip(gan_delays, reg_delays):
+        figure.add_point("delay_ms", "OL_GAN", gan)
+        figure.add_point("delay_ms", "OL_Reg", reg)
+        figure.add_point("prediction_mae_mb", "OL_GAN", 0.5)
+        figure.add_point("prediction_mae_mb", "OL_Reg", 0.6)
+    return figure
+
+
+class TestFig7Claims:
+    def trend(self, figure):
+        by_id = {r.claim_id: r for r in check_figure(figure, TINY)}
+        return by_id["fig7-size-trend"]
+
+    def test_decreasing_delays_pass(self):
+        result = self.trend(fig7_like([30.0, 27.0, 25.0], [32.0, 30.0, 29.0]))
+        assert result.passed and result.hard
+        assert result.detail.startswith("delay decreases with size")
+
+    def test_inverting_series_fails_and_prints_the_numbers(self):
+        result = self.trend(fig7_like([20.0, 24.0, 26.0], [30.0, 29.0, 28.5]))
+        assert not result.passed
+        assert result.detail.startswith("inverts")
+        assert "non-inverting" not in result.detail
+        assert "OL_GAN 20.00 -> 26.00 ms (x1.30, limit x1.25)" in result.detail
+        assert "OL_Reg 30.00 -> 28.50 ms (x0.95, limit x1.25)" in result.detail
+        with pytest.raises(AssertionError, match="fig7-size-trend"):
+            assert_hard_claims([result])
+
+    def test_rise_within_the_limit_is_non_inverting(self):
+        result = self.trend(fig7_like([20.0, 21.0, 24.0], [30.0, 29.0, 28.0]))
+        assert result.passed
+        assert result.detail.startswith("non-inverting")
+        assert "OL_GAN 20.00 -> 24.00 ms (x1.20, limit x1.25)" in result.detail
+
+
 class TestScorecard:
     def test_rendering_marks_verdicts(self):
         results = check_figure(fig3_like(ol=12.5, pri=13.0, greedy=14.0), TINY)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import make_controller, make_topology, make_workload, run_simulation
 from repro.core.fastlp import PerSlotLpSolver
+from repro.core.optimal import ClairvoyantOracle
 from repro.mec import DriftingDelay
 from repro.utils.seeding import RngRegistry
 from repro.workload import requests_from_trace, synthesize_nyc_wifi_trace
@@ -67,7 +68,7 @@ def record(path=CORPUS):
     finally:
         PerSlotLpSolver.solve = solve
     solver = PerSlotLpSolver(network, controller.requests)
-    xs, objectives = zip(*(solver.solve_with_objective(d, t) for d, t in inputs))
+    xs, objectives = zip(*(solver.optimum(np.outer(d, t), d) for d, t in inputs))
     np.savez_compressed(
         path,
         demands=np.array([d for d, _ in inputs]),
@@ -110,9 +111,10 @@ def test_cold_solves_reproduce_the_recording(corpus):
     solver = PerSlotLpSolver(network, requests)
     for slot in range(HORIZON):
         demands, theta = recorded["demands"][slot], recorded["theta"][slot]
-        x, objective = solver.solve_with_objective(demands, theta)
+        x, objective = solver.optimum(np.outer(demands, theta), demands)
         np.testing.assert_array_equal(x, recorded["x"][slot], err_msg=f"slot {slot}")
         assert objective == recorded["objective"][slot], slot
+        assert solver.solve_with_objective(demands, theta)[0] == objective, slot
     # A solve without a start is the same cold solve.
     x, _ = solver.solve(recorded["demands"][0], recorded["theta"][0])
     np.testing.assert_array_equal(x, recorded["x"][0])
@@ -135,6 +137,18 @@ def test_hot_sequence_matches_objectives_and_stays_feasible(corpus):
         moved += not np.array_equal(x, recorded["x"][slot])
     # The hot start is in use: the degenerate LP lands elsewhere.
     assert moved > 0
+
+
+def test_hot_oracle_matches_the_recorded_objectives(corpus):
+    """The clairvoyant oracle's hot-started objective, slot after slot,
+    equals the recorded cold optimum to rounding."""
+    network, requests, recorded = corpus
+    oracle = ClairvoyantOracle(network, requests)
+    hot = np.array([
+        oracle.cost(recorded["demands"][slot], recorded["theta"][slot])
+        for slot in range(HORIZON)
+    ])
+    np.testing.assert_allclose(hot, recorded["objective"], rtol=1e-12, atol=0)
 
 
 if __name__ == "__main__":

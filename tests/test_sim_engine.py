@@ -74,7 +74,7 @@ class TestRunSimulation:
     def test_optimum_runs_after_observe(self, monkeypatch, exact):
         """Each slot runs the controller's own decide -> evaluate -> observe
         step first; the clairvoyant optimum follows it."""
-        from repro.sim import engine
+        from repro.core.optimal import ClairvoyantOracle
 
         rngs, network, requests = build_setting()
         controller = OlGdController(network, requests, rngs.get("ctrl"))
@@ -85,15 +85,14 @@ class TestRunSimulation:
             calls.append(f"observe {slot}")
             return observe(slot, *args)
 
-        name = "clairvoyant_cost_exact" if exact else "clairvoyant_cost"
-        oracle = getattr(engine, name)
+        cost = ClairvoyantOracle.cost
 
-        def logged_optimum(*args):
+        def logged_optimum(self, *args):
             calls.append("optimal")
-            return oracle(*args)
+            return cost(self, *args)
 
         controller.observe = logged_observe
-        monkeypatch.setattr(engine, name, logged_optimum)
+        monkeypatch.setattr(ClairvoyantOracle, "cost", logged_optimum)
         run_simulation(
             network, ConstantDemandModel(requests), controller, horizon=3,
             compute_optimal=True, exact_optimal=exact,

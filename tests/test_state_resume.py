@@ -19,7 +19,14 @@ from repro.core import controller_names, make_controller
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.sim import CheckpointError, RunConfig, run_repetitions, run_simulation
-from repro.state import SweepManifest, result_path
+from repro.core.optimal import clairvoyant_cost
+from repro.state import (
+    SIMULATION_KIND,
+    SweepManifest,
+    load_checkpoint,
+    result_path,
+    save_checkpoint,
+)
 from repro.utils.seeding import RngRegistry
 from repro.workload import BurstyDemandModel, ConstantDemandModel
 
@@ -38,6 +45,10 @@ PREDICTIVE = {"OL_GAN", "OL_Reg"}
 
 #: The controllers whose LP starts from the previous slot's basis.
 HOT_STARTED = ("OL_GD", "OL_Reg", "OL_GAN")
+
+#: Runs that also compute the clairvoyant optimum, whose LP starts from
+#: the previous slot's basis too (held by the run loop, not the controller).
+WITH_OPTIMUM = ("OL_GD", "Greedy_GD")
 
 
 def build_world(seed, name, n_stations=8, n_requests=6):
@@ -93,6 +104,18 @@ def uninterrupted_lp_run(name):
         demands_known=name not in PREDICTIVE,
     )
     return result, solutions
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_optimum_run(name):
+    network, model, controller = build_lp_world(name)
+    return run_simulation(
+        network, model, controller, horizon=HORIZON, compute_optimal=True
+    )
+
+
+def optimum_series(result):
+    return np.array([r.optimal_delay_ms for r in result.records])
 
 
 class TestResumeBitIdentity:
@@ -166,6 +189,73 @@ class TestResumeBitIdentity:
         np.testing.assert_array_equal(
             resumed.max_load_fractions, full.max_load_fractions
         )
+
+    @pytest.mark.parametrize("cut", range(1, HORIZON))
+    @pytest.mark.parametrize("name", WITH_OPTIMUM)
+    def test_resume_at_every_slot_keeps_the_oracle_hot_start(
+        self, name, cut, tmp_path
+    ):
+        """The snapshot carries the oracle's basis: the resumed run solves
+        the same clairvoyant LPs from the same bases, bit for bit."""
+        full = uninterrupted_optimum_run(name)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=cut, resume=True)
+        network, model, controller = build_lp_world(name)
+        run_simulation(
+            network, model, controller, horizon=cut,
+            compute_optimal=True, config=config,
+        )
+        network, model, controller = build_lp_world(name)
+        resumed = run_simulation(
+            network, model, controller, horizon=HORIZON,
+            compute_optimal=True, config=config,
+        )
+        np.testing.assert_array_equal(optimum_series(resumed), optimum_series(full))
+        np.testing.assert_array_equal(resumed.delays_ms, full.delays_ms)
+
+    def test_oracle_hot_start_is_not_the_cold_solve(self):
+        """Guards the test above: the hot-started optima match the cold
+        solve to rounding but not bit for bit, so a resume that restarted
+        the oracle cold could show in the series."""
+        network, model, controller = build_lp_world("Greedy_GD")
+        cold = np.array([
+            clairvoyant_cost(
+                network, controller.requests, model.demand_at(t),
+                network.delays.sample(t),
+            )
+            for t in range(HORIZON)
+        ])
+        hot = optimum_series(uninterrupted_optimum_run("Greedy_GD"))
+        np.testing.assert_allclose(hot, cold, rtol=1e-12, atol=0)
+        assert np.any(hot != cold)
+
+    def test_snapshot_without_oracle_entry_rejected(self, tmp_path):
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
+        network, model, controller = build_world(11, "OL_GD")
+        run_simulation(network, model, controller, horizon=CUT, config=config)
+        snapshot = config.to_checkpoint_config().path_for("OL_GD")
+        state, meta = load_checkpoint(snapshot, kind=SIMULATION_KIND)
+        del state["oracle"]
+        save_checkpoint(snapshot, state, kind=SIMULATION_KIND, meta=meta)
+        network, model, controller = build_world(11, "OL_GD")
+        with pytest.raises(CheckpointError, match="'oracle'"):
+            run_simulation(
+                network, model, controller, horizon=HORIZON, config=config
+            )
+
+    @pytest.mark.parametrize("written_with", [False, True])
+    def test_snapshot_of_other_optimum_setting_rejected(self, written_with, tmp_path):
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
+        network, model, controller = build_world(11, "OL_GD")
+        run_simulation(
+            network, model, controller, horizon=CUT,
+            compute_optimal=written_with, config=config,
+        )
+        network, model, controller = build_world(11, "OL_GD")
+        with pytest.raises(CheckpointError, match="compute_optimal"):
+            run_simulation(
+                network, model, controller, horizon=HORIZON,
+                compute_optimal=not written_with, config=config,
+            )
 
     def test_wrong_controller_snapshot_rejected(self, tmp_path):
         config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
