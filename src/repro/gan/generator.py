@@ -123,13 +123,19 @@ class Generator(Module):
         raw = self.head(flat).reshape(window, noise.shape[1], 1)
         return softplus(raw)
 
-    def sample_noise(self, window: int, batch: int, rng: np.random.Generator) -> Tensor:
+    def sample_noise(
+        self, window: int, batch: int, rng: np.random.Generator, draws: int = 1
+    ) -> Tensor:
         """Draw `z^t` for a window: standard normal, shape ``(W, B, nz)``.
 
         Drawn in float64 (so the stream matches seeded expectations) and
-        cast to the generator's parameter dtype.
+        cast to the generator's parameter dtype.  ``draws > 1`` draws
+        ``(draws, W, B, nz)`` at once, the stream of ``draws`` calls in
+        turn, and lays it out draw-major as ``(W, draws * B, nz)``.
         """
         require_positive("window", window)
         require_positive("batch", batch)
-        draw = rng.normal(0.0, 1.0, size=(window, batch, self.noise_dim))
+        require_positive("draws", draws)
+        draw = rng.normal(0.0, 1.0, size=(draws, window, batch, self.noise_dim))
+        draw = draw.transpose(1, 0, 2, 3).reshape(window, draws * batch, self.noise_dim)
         return Tensor(draw, dtype=self.head.weight.data.dtype)

@@ -179,12 +179,12 @@ class InfoRnnGan:
 
         # --- Discriminator step (Eq. 23) --------------------------------
         noise = self.generator.sample_noise(window, batch, self._rng)
-        fake = self.generator(noise, codes_tensor, prev_tensor)
-        fake_detached = fake.detach()  # stop gradient into G (shares data)
+        with no_grad():  # no gradient flows into G here: record no graph
+            fake = self.generator(noise, codes_tensor, prev_tensor)
 
         self._d_optimizer.zero_grad()
         real_probs, _ = self.discriminator(Tensor(real_series))
-        fake_probs, _ = self.discriminator(fake_detached)
+        fake_probs, _ = self.discriminator(fake)
         d_loss = binary_cross_entropy(
             real_probs, np.ones((batch, 1))
         ) + binary_cross_entropy(fake_probs, np.zeros((batch, 1)))
@@ -304,16 +304,22 @@ class InfoRnnGan:
         ``conditioning (W, B, cond_channels)``, ``codes (B, code_dim)``;
         returns ``(W, B, 1)``.  Runs under :class:`~repro.nn.tensor.no_grad`
         — inference records no autograd graph at all (this is the path
-        behind ``GanDemandPredictor.predict_next``).
+        behind ``GanDemandPredictor.predict_next``).  The draws run as one
+        forward at batch ``n_samples * B``; their noise is one draw laid
+        out draw-major, the same numbers ``n_samples`` draws of
+        ``(W, B, nz)`` in turn would give.
         """
         require_positive("n_samples", n_samples)
         previous = np.asarray(conditioning, dtype=self.dtype)
-        codes_tensor = Tensor(np.asarray(codes, dtype=self.dtype))
-        prev_tensor = Tensor(previous)
+        codes = np.asarray(codes, dtype=self.dtype)
         window, batch = previous.shape[0], previous.shape[1]
-        draws = []
+        noise = self.generator.sample_noise(window, batch, self._rng, draws=n_samples)
         with no_grad():
-            for _ in range(n_samples):
-                noise = self.generator.sample_noise(window, batch, self._rng)
-                draws.append(self.generator(noise, codes_tensor, prev_tensor).data)
-        return np.mean(draws, axis=0)
+            out = self.generator(
+                noise,
+                Tensor(np.tile(codes, (n_samples, 1))),
+                Tensor(np.tile(previous, (1, n_samples, 1))),
+            ).data
+        return np.mean(
+            out.reshape(window, n_samples, batch, 1).transpose(1, 0, 2, 3), axis=0
+        )

@@ -32,6 +32,24 @@ The same :func:`handle_request` dispatcher backs both front-ends:
 connection count is bounded by ``max_connections``) and
 :func:`serve_stdio` (a poll loop over stdin/stdout for pipe-driven
 clients and the subprocess lifecycle tests).
+
+TCP write path
+--------------
+
+Each connection runs one loop on its handler thread: ``recv`` a chunk,
+answer every complete line in it through :func:`handle_line`, and send
+that chunk's responses with one ``sendall``; a partial line waits for
+the next chunk.  The accepted socket has ``TCP_NODELAY`` set, so a
+reply leaves as soon as it is sent instead of waiting on the client's
+delayed ACK.  The two go together: without coalescing, no-delay would
+put one small segment on the wire per response.
+
+Hostile input is bounded per connection.  A line longer than
+:data:`MAX_LINE_BYTES` (offers are ~60 B) is answered ``bad_request``
+and the connection closed, so a client cannot grow the pending buffer
+without limit.  A connection that sends nothing, or reads none of its
+answers, for :data:`IDLE_TIMEOUT_S` seconds is closed, which frees its
+``max_connections`` slot for the next client.
 """
 
 from __future__ import annotations
@@ -40,6 +58,7 @@ import json
 import selectors
 import socket
 import socketserver
+import struct
 import threading
 from typing import IO, TYPE_CHECKING, Any, Callable, Dict, Optional
 
@@ -58,6 +77,13 @@ __all__ = [
     "request_over_socket",
     "serve_stdio",
 ]
+
+#: Longest request line a TCP connection may send, in bytes; a longer
+#: one is answered ``bad_request`` and the connection closed.
+MAX_LINE_BYTES = 64 * 1024
+#: Seconds a TCP connection may send nothing, or leave its answers
+#: unread, before the server closes it.
+IDLE_TIMEOUT_S = 300.0
 
 #: Machine-stable error codes a response's ``"error"`` field may carry.
 ERROR_CODES = (
@@ -79,7 +105,7 @@ def _op_offer(server: "DecisionServer", payload: Dict[str, Any]) -> Dict[str, An
     try:
         request = int(payload["request"])
         volume = float(payload["volume_mb"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return _error(
             "bad_request", "offer needs integer 'request' and float 'volume_mb'"
         )
@@ -93,7 +119,7 @@ def _op_offer(server: "DecisionServer", payload: Dict[str, Any]) -> Dict[str, An
         "ok": True,
         "accepted": accepted,
         "slot": server.slot,
-        "buffer_fill": server.status()["buffer_fill"],
+        "buffer_fill": server.buffer_fill,
     }
     if not accepted:
         response["ok"] = False
@@ -110,7 +136,7 @@ def _op_decide(server: "DecisionServer", payload: Dict[str, Any]) -> Dict[str, A
     if payload.get("slot") is not None:
         try:
             slot = int(payload["slot"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return _error("bad_request", "'slot' must be an integer")
     try:
         placement = server.decide(slot)
@@ -187,27 +213,68 @@ def handle_line(server: "DecisionServer", line: str) -> str:
     """Decode one protocol line, dispatch it, encode the response."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         return json.dumps(_error("bad_request", f"invalid JSON: {exc}"))
     return json.dumps(handle_request(server, payload))
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One TCP connection: read lines, answer lines, until EOF."""
+_LINE_TOO_LONG = json.dumps(
+    _error("bad_request", f"line longer than {MAX_LINE_BYTES} bytes; closing")
+)
+
+
+def _answer_connection(server: "DecisionServer", conn: socket.socket) -> None:
+    """Answer each received chunk's complete lines with one ``sendall``.
+
+    Returns at EOF (after answering a last line that has no newline) or
+    after refusing an over-long line; socket errors, the idle timeout
+    included, propagate to the caller.
+    """
+    pending = b""
+    while True:
+        chunk = conn.recv(MAX_LINE_BYTES)
+        if chunk:
+            *lines, pending = (pending + chunk).split(b"\n")
+        else:
+            lines, pending = [pending], b""
+        refused = len(pending) > MAX_LINE_BYTES
+        replies = []
+        for raw in lines:
+            if len(raw) > MAX_LINE_BYTES:
+                refused = True
+                break
+            line = raw.decode("utf-8", errors="replace").strip()
+            if line:
+                replies.append(handle_line(server, line))
+        if refused:
+            replies.append(_LINE_TOO_LONG)
+        if replies:
+            replies.append("")
+            conn.sendall("\n".join(replies).encode("utf-8"))
+        if refused or not chunk:
+            return
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One TCP connection: answer lines until EOF, refusal or idle timeout."""
 
     def handle(self) -> None:
         tcp: "ProtocolServer" = self.server  # type: ignore[assignment]
+        conn: socket.socket = self.request
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Kernel timeouts rather than settimeout(): a socket in timeout
+        # mode polls before every recv and send, doubling the system calls
+        # per chunk.  A timed-out recv or send raises BlockingIOError, so a
+        # client that stops sending, or stops reading, is dropped.
+        seconds, fraction = divmod(IDLE_TIMEOUT_S, 1.0)
+        timeval = struct.pack("ll", int(seconds), int(fraction * 1e6))
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         with tcp.connection_slot():
-            for raw in self.rfile:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response = handle_line(tcp.decision_server, line)
-                try:
-                    self.wfile.write(response.encode("utf-8") + b"\n")
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    return
+            try:
+                _answer_connection(tcp.decision_server, conn)
+            except OSError:  # reset, broken pipe, idle timeout
+                return
 
 
 class ProtocolServer(socketserver.ThreadingTCPServer):
@@ -216,6 +283,8 @@ class ProtocolServer(socketserver.ThreadingTCPServer):
     ``max_connections`` bounds concurrently-served connections (mapping
     the CLI's ``--jobs`` flag onto the serving layer); excess
     connections block in :meth:`connection_slot` until a slot frees.
+    A slot frees when its client disconnects, sends an over-long line,
+    or stays silent or stops reading for :data:`IDLE_TIMEOUT_S`.
     Pass ``port=0`` to bind an ephemeral port (tests); the bound port is
     :attr:`port`.
     """

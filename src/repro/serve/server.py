@@ -382,6 +382,12 @@ class DecisionServer:
         """The per-slot metric series (same schema as the simulation engine's)."""
         return self._result
 
+    @property
+    def buffer_fill(self) -> int:
+        """Offers pending for the open slot (0 before :meth:`start`)."""
+        buffer = self._buffer
+        return buffer.fill if buffer is not None else 0
+
     def status(self) -> Dict[str, Any]:
         """A JSON-able operational summary (the protocol's ``status`` op)."""
         buffer = self._buffer
@@ -389,7 +395,7 @@ class DecisionServer:
             "state": self.lifecycle.state,
             "controller": self.config.controller,
             "slot": self._slot,
-            "buffer_fill": buffer.fill if buffer is not None else 0,
+            "buffer_fill": self.buffer_fill,
             "buffer_limit": self.config.buffer_limit,
             "offered_total": buffer.offered_total if buffer is not None else 0,
             "rejected_total": buffer.rejected_total if buffer is not None else 0,
