@@ -154,7 +154,7 @@ def _legacy_from_stations(
 ) -> Assignment:
     """Cache-set derivation as the pre-PR code built it: a python loop."""
     cached = set()
-    for request, station in zip(requests, station_of):
+    for request, station in zip(requests, station_of, strict=True):
         cached.add((request.service_index, int(station)))
     return Assignment(station_of=station_of, cached=frozenset(cached))
 

@@ -654,12 +654,12 @@ class KeywordOnlyFlagsRule(Rule):
         defaulted = positional[len(positional) - len(args.defaults):]
         positional_flags = [
             arg.arg
-            for arg, default in zip(defaulted, args.defaults)
+            for arg, default in zip(defaulted, args.defaults, strict=True)
             if self._is_flag_default(default)
         ]
         keyword_flags = [
             arg.arg
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults, strict=True)
             if default is not None and self._is_flag_default(default)
         ]
         if len(positional_flags) + len(keyword_flags) < 2:

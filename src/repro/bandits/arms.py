@@ -65,7 +65,7 @@ class ArmStats:
             raise ValueError(
                 f"got {len(arms)} arms but {len(values)} values"
             )
-        for arm, value in zip(arms, values):
+        for arm, value in zip(arms, values, strict=True):
             self.observe(arm, value)
 
     def mean(self, arm: int) -> float:

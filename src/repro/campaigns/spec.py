@@ -278,7 +278,8 @@ class CampaignSpec:
         grids = [axis.values for axis in self.factors]
         for index, combo in enumerate(itertools.product(*grids)):
             overrides = tuple(
-                (axis.path, value) for axis, value in zip(self.factors, combo)
+                (axis.path, value)
+                for axis, value in zip(self.factors, combo, strict=True)
             )
             scenario = self.scenario
             for path, value in overrides:
@@ -326,17 +327,8 @@ class CampaignSpec:
 
 
 def _load_toml(path: Path) -> Dict[str, Any]:
-    try:
-        import tomllib  # Python 3.11+
-    except ImportError:  # pragma: no cover - depends on interpreter
-        try:
-            import tomli as tomllib  # type: ignore[no-redef]
-        except ImportError as error:
-            raise RuntimeError(
-                "loading TOML campaign specs needs Python 3.11+ (tomllib) "
-                "or the 'tomli' package; alternatively build the "
-                "CampaignSpec in Python directly"
-            ) from error
+    import tomllib
+
     with open(path, "rb") as handle:
         return tomllib.load(handle)
 

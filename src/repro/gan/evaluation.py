@@ -12,12 +12,15 @@ both:
 * :func:`latent_recovery_accuracy` — how often the trained Q head
   recovers the code a series was generated with (the practical readout of
   the mutual-information term `I(c; G(z, c))` of Eq. 24).
+
+:func:`marginal_ks_statistic` imports ``scipy.stats`` where it runs: this
+module is loaded with the GAN by every process, which would otherwise
+all carry ``scipy.stats`` (``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.gan.infogan import InfoRnnGan
 from repro.nn.tensor import Tensor, no_grad
@@ -39,6 +42,8 @@ def _flatten_series(series: np.ndarray) -> np.ndarray:
 
 def marginal_ks_statistic(real: np.ndarray, generated: np.ndarray) -> float:
     """Two-sample KS distance between per-slot volume marginals (in [0, 1])."""
+    from scipy import stats as scipy_stats
+
     real_flat = _flatten_series(real)
     fake_flat = _flatten_series(generated)
     statistic, _ = scipy_stats.ks_2samp(real_flat, fake_flat)

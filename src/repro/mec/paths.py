@@ -12,6 +12,7 @@ available to users building richer delay models.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -83,7 +84,7 @@ class BackhaulPaths:
             return 0.0
         nodes = self.path(source, target)
         total = 0.0
-        for u, v in zip(nodes, nodes[1:]):
+        for u, v in itertools.pairwise(nodes):
             edge = self._graph.edges[u, v]
             total += float(edge["delay_ms"])
             total += (data_mb * 8.0 / float(edge["bandwidth_mbps"])) * 1000.0

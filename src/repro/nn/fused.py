@@ -154,11 +154,11 @@ def lstm_sequence(
                 ),
                 axis=1,
             )
-            for weight, d_w in zip(weights, d_weight):
+            for weight, d_w in zip(weights, d_weight, strict=True):
                 weight._accumulate(d_w)
         if any(bias.requires_grad for bias in biases):
             d_bias = d_flat.sum(axis=1, keepdims=True)
-            for bias, d_b in zip(biases, d_bias):
+            for bias, d_b in zip(biases, d_bias, strict=True):
                 bias._accumulate(d_b)
         if sequence.requires_grad:
             d_x = (d_flat @ np.swapaxes(w_x, -1, -2)).reshape(D, T, B, In)

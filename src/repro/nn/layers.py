@@ -288,7 +288,7 @@ class BiLSTM(Module):
         with obs.span("nn.forward"):
             out = sequence
             for forward_cell, backward_cell in zip(
-                self.forward_lstm.cells, self.backward_lstm.cells
+                self.forward_lstm.cells, self.backward_lstm.cells, strict=True
             ):
                 out = lstm_sequence(
                     out,

@@ -72,7 +72,10 @@ class Optimizer(abc.ABC):
         """
         slots = [np.asarray(slot) for slot in slots]
         self._check_slot_shapes(slots, label)
-        return [slot.astype(p.data.dtype) for slot, p in zip(slots, self._params)]
+        return [
+            slot.astype(p.data.dtype)
+            for slot, p in zip(slots, self._params, strict=True)
+        ]
 
     def _check_slot_shapes(self, slots: Sequence[np.ndarray], label: str) -> None:
         if len(slots) != len(self._params):
@@ -80,7 +83,7 @@ class Optimizer(abc.ABC):
                 f"checkpoint holds {len(slots)} {label} buffers, optimizer "
                 f"has {len(self._params)} parameters"
             )
-        for index, (slot, p) in enumerate(zip(slots, self._params)):
+        for index, (slot, p) in enumerate(zip(slots, self._params, strict=True)):
             if slot.shape != p.data.shape:
                 raise ValueError(
                     f"{label} buffer {index} shape {slot.shape} does not "
@@ -100,7 +103,7 @@ class Sgd(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self._params]
 
     def step(self) -> None:
-        for p, velocity in zip(self._params, self._velocity):
+        for p, velocity in zip(self._params, self._velocity, strict=True):
             if p.grad is None:
                 continue
             velocity *= self._momentum
@@ -142,7 +145,7 @@ class Adam(Optimizer):
         self._t += 1
         correction1 = 1.0 - self._beta1**self._t
         correction2 = 1.0 - self._beta2**self._t
-        for p, m, v in zip(self._params, self._m, self._v):
+        for p, m, v in zip(self._params, self._m, self._v, strict=True):
             if p.grad is None:
                 continue
             m *= self._beta1

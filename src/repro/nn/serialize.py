@@ -52,7 +52,7 @@ def load_parameters(module: Module, path: Union[str, Path]) -> int:
                 f"archive holds {len(names)} parameters, module has "
                 f"{len(params)} — architecture mismatch"
             )
-        for index, (param, name) in enumerate(zip(params, names)):
+        for index, (param, name) in enumerate(zip(params, names, strict=True)):
             stored = archive[name]
             if stored.shape != param.data.shape:
                 raise ValueError(
@@ -100,5 +100,5 @@ def parameters_equal(a: Module, b: Module) -> bool:
         return False
     return all(
         x.data.shape == y.data.shape and np.array_equal(x.data, y.data)
-        for x, y in zip(pa, pb)
+        for x, y in zip(pa, pb, strict=True)
     )

@@ -559,7 +559,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(grad: np.ndarray) -> None:
-        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
+        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:], strict=True):
             index: List[slice] = [slice(None)] * grad.ndim
             index[axis] = slice(start, end)
             tensor._accumulate(grad[tuple(index)])
@@ -576,7 +576,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         slices = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, slices):
+        for tensor, piece in zip(tensors, slices, strict=True):
             tensor._accumulate(np.squeeze(piece, axis=axis))
 
     return _make_node(out_data, tensors, backward)

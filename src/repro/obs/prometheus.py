@@ -108,7 +108,7 @@ def _render_histogram(name: str, histogram: Histogram) -> List[str]:
     cumulative = 0
     # counts[0] is the underflow bucket (< edges[0]); Prometheus buckets
     # are upper-bound-inclusive, so it folds into the first le edge.
-    for edge, count in zip(histogram.edges, histogram.counts):
+    for edge, count in zip(histogram.edges, histogram.counts[:-1], strict=True):
         cumulative += count
         lines.append(
             f'{name}_bucket{{le="{_format_value(edge)}"}} {cumulative}'

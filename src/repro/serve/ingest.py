@@ -15,6 +15,7 @@ is bit-identical to an uninterrupted run fed the same offers.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -65,22 +66,31 @@ class SlotBuffer:
         request index, non-positive or non-finite volume) — malformed
         input is a caller error, not admission control.
         """
+        return self.admit(request, volume_mb)[0]
+
+    def admit(self, request: int, volume_mb: float) -> Tuple[bool, int]:
+        """:meth:`offer`, plus the fill it left: ``(accepted, fill)``.
+
+        Both come from one locked section, so the fill is the one this
+        offer saw, whatever other threads offer meanwhile.
+        """
         index = int(request)
         volume = float(volume_mb)
         if not 0 <= index < self.n_requests:
             raise ValueError(
                 f"request index {index} outside [0, {self.n_requests})"
             )
-        if not np.isfinite(volume) or volume <= 0.0:
+        if not math.isfinite(volume) or volume <= 0.0:
             raise ValueError(f"volume_mb must be positive and finite, got {volume}")
         with self._lock:
-            if len(self._pending) >= self.limit:
+            pending = self._pending
+            if len(pending) >= self.limit:
                 self._slot_rejected += 1
                 self.rejected_total += 1
-                return False
-            self._pending.append(Offer(index, volume))
+                return False, len(pending)
+            pending.append(Offer(index, volume))
             self.offered_total += 1
-            return True
+            return True, len(pending)
 
     @property
     def fill(self) -> int:
@@ -133,7 +143,7 @@ class SlotBuffer:
             )
         entries = [
             Offer(int(request), float(volume))
-            for request, volume in zip(requests, volumes)
+            for request, volume in zip(requests, volumes, strict=True)
         ]
         if len(entries) > self.limit:
             raise ValueError(

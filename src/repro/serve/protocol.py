@@ -110,7 +110,7 @@ def _op_offer(server: "DecisionServer", payload: Dict[str, Any]) -> Dict[str, An
             "bad_request", "offer needs integer 'request' and float 'volume_mb'"
         )
     try:
-        accepted = server.offer(request, volume)
+        accepted, fill = server.admit(request, volume)
     except ValueError as exc:
         return _error("bad_request", str(exc))
     except ServeError as exc:
@@ -119,7 +119,7 @@ def _op_offer(server: "DecisionServer", payload: Dict[str, Any]) -> Dict[str, An
         "ok": True,
         "accepted": accepted,
         "slot": server.slot,
-        "buffer_fill": server.buffer_fill,
+        "buffer_fill": fill,
     }
     if not accepted:
         response["ok"] = False

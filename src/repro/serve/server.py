@@ -260,19 +260,28 @@ class DecisionServer:
         :class:`ValueError` on malformed offers (see
         :meth:`repro.serve.ingest.SlotBuffer.offer`).
         """
+        return self.admit(request, volume_mb)[0]
+
+    def admit(self, request: int, volume_mb: float) -> Tuple[bool, int]:
+        """:meth:`offer`, plus the buffer fill it left: ``(accepted, fill)``.
+
+        The fill comes from the same locked section of the buffer as the
+        admission, so the ``serve.buffer_fill`` gauge and the protocol's
+        reply report it without locking the buffer again.
+        """
         buffer = self._buffer
         if buffer is None or not self.lifecycle.is_in(RUNNING):
             raise ServeError(
                 f"cannot ingest offers in state {self.lifecycle.state!r}"
             )
-        accepted = buffer.offer(request, volume_mb)
+        accepted, fill = buffer.admit(request, volume_mb)
         with obs.activate(self._metrics):
             if accepted:
                 obs.inc("serve.offers")
             else:
                 obs.inc("serve.rejected")
-            obs.gauge("serve.buffer_fill", buffer.fill)
-        return accepted
+            obs.gauge("serve.buffer_fill", fill)
+        return accepted, fill
 
     def decide(self, slot: Optional[int] = None) -> Placement:
         """Close the open slot and return its placement decision.

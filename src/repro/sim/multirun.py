@@ -13,6 +13,11 @@ Execution is one sweep of the executor in :mod:`repro.sim.parallel`:
 results (see that module for the determinism argument).
 Crashed repetitions are recorded in :attr:`RepetitionStudy.failures` and
 excluded from the summaries instead of killing the study.
+
+``scipy.stats`` (the t quantile and the exact binomial test) is imported
+inside the two functions that call it, not here: this module is loaded
+by every run and server, and ``scipy.stats`` would be about a fifth of
+their resident memory (``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.obs import MetricsRegistry
 from repro.sim.config import RunConfig
@@ -90,7 +94,7 @@ class MetricSummary:
 
     def by_repetition(self) -> Dict[int, float]:
         """``repetition -> value`` (what paired comparisons join on)."""
-        return dict(zip(self.repetitions, self.values))
+        return dict(zip(self.repetitions, self.values, strict=True))
 
 
 def _summarise(
@@ -106,6 +110,8 @@ def _summarise(
     mean = float(array.mean())
     std = float(array.std(ddof=1)) if array.size > 1 else 0.0
     if array.size > 1 and std > 0:
+        from scipy import stats as scipy_stats
+
         margin = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=array.size - 1)
         half_width = margin * std / math.sqrt(array.size)
     else:
@@ -506,6 +512,8 @@ def compare_controllers(
     ties = int(np.sum(differences == 0))
     decisive = wins_a + wins_b
     if decisive > 0:
+        from scipy import stats as scipy_stats
+
         sign_p = float(
             scipy_stats.binomtest(wins_a, decisive, 0.5).pvalue
         )

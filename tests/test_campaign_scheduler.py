@@ -248,7 +248,7 @@ class TestWorldCacheIsolation:
         ]
         alone = [execute_sweeps([sweep])[0] for sweep in sweeps]
         together = execute_sweeps(sweeps, jobs=2)
-        for solo, mixed in zip(alone, together):
+        for solo, mixed in zip(alone, together, strict=True):
             assert [w.result.delays_ms.tolist() for w in solo] == [
                 w.result.delays_ms.tolist() for w in mixed
             ]

@@ -96,7 +96,9 @@ class TestHotOracleUnderOutages:
             .add_outage(int(heaviest[1]), start=4, duration=3, remaining_fraction=0.3)
         )
         result = run(world, failures)
-        hot, cold, held = (np.array(column) for column in zip(*record_cold))
+        hot, cold, held = (
+            np.array(column) for column in zip(*record_cold, strict=True)
+        )
         optimal = np.array([r.optimal_delay_ms for r in result.records])
 
         np.testing.assert_array_equal(optimal, hot)

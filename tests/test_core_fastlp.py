@@ -217,7 +217,7 @@ class TestPerSlotLpSolver:
                 bs.capacity_mhz *= 0.5
             solver.solve(demands, theta)  # degraded solve must not poison state
         finally:
-            for bs, cap in zip(network.stations, original):
+            for bs, cap in zip(network.stations, original, strict=True):
                 bs.capacity_mhz = cap
         np.testing.assert_allclose(solver.solve(demands, theta)[0], x_healthy, atol=1e-9)
 
@@ -290,7 +290,7 @@ class TestClairvoyantSolverCache:
                 clairvoyant_cost(network, requests, demands, theta), rel=1e-12
             )
         finally:
-            for bs, cap in zip(network.stations, original):
+            for bs, cap in zip(network.stations, original, strict=True):
                 bs.capacity_mhz = cap
         assert relaxed <= baseline + 1e-9  # looser capacity cannot cost more
         assert oracle.cost(demands, theta) == pytest.approx(baseline, rel=1e-12)

@@ -99,7 +99,7 @@ class TestFig6Claims:
 def fig7_like(gan_delays, reg_delays):
     sizes = [10, 20, 30][: len(gan_delays)]
     figure = FigureResult("fig7", "sizes", "|BS|", sizes)
-    for gan, reg in zip(gan_delays, reg_delays):
+    for gan, reg in zip(gan_delays, reg_delays, strict=True):
         figure.add_point("delay_ms", "OL_GAN", gan)
         figure.add_point("delay_ms", "OL_Reg", reg)
         figure.add_point("prediction_mae_mb", "OL_GAN", 0.5)

@@ -1,0 +1,106 @@
+"""Import budget: serving and running never load ``scipy.stats``.
+
+``scipy.stats`` (with ``scipy.integrate``, ``scipy.interpolate`` and
+``scipy.ndimage`` behind it) is about a fifth of a fresh process's
+resident memory and a third of its start-up, yet only the repetition
+summaries (t-interval, sign test) and the GAN's KS statistic call it.
+Those call sites import it where they run; this test keeps every other
+path from loading it again: the package imports, an in-process decision
+service session, and short offline runs of OL_GAN and of OL_GD with the
+clairvoyant optimum.
+
+The check runs in a fresh interpreter, because the test process itself
+has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+PROBE = textwrap.dedent(
+    """
+    import json
+    import sys
+    import tempfile
+
+    import repro.api
+    import repro.cli
+    from repro.api import DecisionServer, ServeConfig, make_controller, run_simulation
+    from repro.mec.network import MECNetwork
+    from repro.mec.requests import Request
+    from repro.serve.protocol import handle_line
+    from repro.utils.seeding import RngRegistry
+    from repro.workload import BurstyDemandModel
+
+    with tempfile.TemporaryDirectory() as directory:
+        server = DecisionServer(
+            ServeConfig(
+                controller="OL_GD", seed=11, horizon=4, n_stations=8,
+                n_services=2, n_requests=6, n_hotspots=2,
+                checkpoint_dir=directory,
+            )
+        )
+        server.start()
+        for line in (
+            {"op": "offer", "request": 1, "volume_mb": 1.5},
+            {"op": "offer", "request": 4, "volume_mb": 0.5},
+            {"op": "decide", "slot": 0},
+            {"op": "status"},
+            {"op": "metrics"},
+            {"op": "checkpoint"},
+        ):
+            reply = json.loads(handle_line(server, json.dumps(line)))
+            assert reply["ok"], reply
+        server.stop()
+
+    def world(name, **options):
+        rngs = RngRegistry(seed=5)
+        network = MECNetwork.synthetic(8, 2, rngs)
+        rng = rngs.get("requests")
+        requests = [
+            Request(
+                index=i,
+                service_index=int(rng.integers(2)),
+                basic_demand_mb=float(rng.uniform(1.0, 2.0)),
+                hotspot_index=i % 2,
+            )
+            for i in range(6)
+        ]
+        model = BurstyDemandModel(requests, rngs.get("demand"))
+        controller = make_controller(
+            name, network, requests, rngs.get("ctrl"), **options
+        )
+        return network, model, controller
+
+    run_simulation(
+        *world("OL_GAN", n_hotspots=2, window=3, hidden_size=4),
+        2,
+        demands_known=False,
+    )
+    run_simulation(*world("OL_GD"), 2, compute_optimal=True)
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+    """
+)
+
+
+def test_serving_and_running_never_load_scipy_stats():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    loaded = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert "scipy.optimize" in loaded  # the probe did reach the LP stack
+    assert "scipy.stats" not in loaded, (
+        "scipy.stats was imported outside the summary call sites"
+    )

@@ -68,7 +68,7 @@ class TestAssignmentInvariants:
             assert np.all(assignment.station_of >= 0)
             assert np.all(assignment.station_of < network.n_stations)
             # Constraint 6: the serving station caches the needed service.
-            for request, station in zip(requests, assignment.station_of):
+            for request, station in zip(requests, assignment.station_of, strict=True):
                 assert (request.service_index, int(station)) in assignment.cached
             controller.observe(
                 t, demands, network.delays.sample(t), assignment

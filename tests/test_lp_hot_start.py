@@ -68,7 +68,9 @@ def record(path=CORPUS):
     finally:
         PerSlotLpSolver.solve = solve
     solver = PerSlotLpSolver(network, controller.requests)
-    xs, objectives = zip(*(solver.optimum(np.outer(d, t), d) for d, t in inputs))
+    xs, objectives = zip(
+        *(solver.optimum(np.outer(d, t), d) for d, t in inputs), strict=True
+    )
     np.savez_compressed(
         path,
         demands=np.array([d for d, _ in inputs]),

@@ -38,7 +38,9 @@ def rebuild(case):
     np.testing.assert_array_equal(network.capacities_mhz, case["capacities_mhz"])
     requests = [
         Request(index=l, service_index=k, basic_demand_mb=d)
-        for l, (k, d) in enumerate(zip(case["services"], case["demands_mb"]))
+        for l, (k, d) in enumerate(
+            zip(case["services"], case["demands_mb"], strict=True)
+        )
     ]
     return (
         network,

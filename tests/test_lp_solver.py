@@ -59,7 +59,7 @@ def brute_force_optimum(network, requests, demands, unit_delays):
             skipped += 1
             continue
         processing = sum(demands[l] * unit_delays[i] for l, i in enumerate(stations))
-        cached = {(r.service_index, i) for r, i in zip(requests, stations)}
+        cached = {(r.service_index, i) for r, i in zip(requests, stations, strict=True)}
         caching = sum(network.services.instantiation_delay(i, k) for k, i in cached)
         best = min(best, (processing + caching) / R)
     return best, skipped

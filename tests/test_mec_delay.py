@@ -17,7 +17,7 @@ def stations():
 class TestUniformTierDelay:
     def test_means_within_tier_bands(self, stations):
         process = UniformTierDelay(stations, np.random.default_rng(2))
-        for bs, mean in zip(stations, process.true_means):
+        for bs, mean in zip(stations, process.true_means, strict=True):
             lo, hi = bs.profile.unit_delay_ms
             assert lo <= mean <= hi
 
@@ -119,7 +119,7 @@ class TestDriftingDelay:
 
     def test_true_means_are_initial(self, stations):
         process = DriftingDelay(stations, np.random.default_rng(6))
-        for bs, mean in zip(stations, process.true_means):
+        for bs, mean in zip(stations, process.true_means, strict=True):
             lo, hi = bs.profile.unit_delay_ms
             assert lo <= mean <= hi
 

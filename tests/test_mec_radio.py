@@ -1,5 +1,7 @@
 """Tests for the radio-layer model (power, path loss, rate, delay)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,7 +65,7 @@ class TestLinkRate:
     def test_rate_monotone_nonincreasing_with_distance(self):
         distances = [1, 10, 50, 100, 500, 2000]
         rates = [link_rate_mbps(MACRO, d) for d in distances]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
+        assert all(a >= b for a, b in itertools.pairwise(rates))
 
     def test_rate_zero_far_away(self):
         assert link_rate_mbps(FEMTO, 100_000.0) == 0.0

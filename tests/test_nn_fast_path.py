@@ -63,7 +63,9 @@ class TestFusedBitIdentity:
             (forward(inp) ** 2).sum().backward()
             return [p.grad.copy() for p in model.parameters()] + [inp.grad.copy()]
 
-        for fused_grad, step_grad in zip(grads(model), grads(model.forward_stepwise)):
+        for fused_grad, step_grad in zip(
+            grads(model), grads(model.forward_stepwise), strict=True
+        ):
             np.testing.assert_allclose(fused_grad, step_grad, rtol=1e-9, atol=1e-12)
 
     def test_bilstm_layer_is_one_node(self):
@@ -320,6 +322,7 @@ class TestFloat32Path:
             for a, b in zip(
                 getattr(uninterrupted, module).parameters(),
                 getattr(resumed, module).parameters(),
+                strict=True,
             ):
                 assert b.data.dtype == np.float32
                 assert np.array_equal(a.data, b.data)

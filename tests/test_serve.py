@@ -11,6 +11,9 @@ and the telemetry contract (every emitted series is in the
 ``repro.obs.names`` catalogue).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,38 @@ class TestSlotBuffer:
         buffer = SlotBuffer(n_requests=2, limit=4)
         with pytest.raises(ValueError):
             buffer.offer(request_index, volume)
+
+    def test_concurrent_admits_report_their_own_fill(self):
+        """Each admission's fill comes from its own locked section: under
+        contention the accepted offers see every fill 1..limit exactly
+        once, and the rejected ones see a full buffer."""
+        threads, per_thread, limit = 6, 400, 2000
+        buffer = SlotBuffer(n_requests=4, limit=limit)
+        results = [[] for _ in range(threads)]
+
+        def worker(out):
+            for i in range(per_thread):
+                out.append(buffer.admit(i % 4, 1.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [
+                threading.Thread(target=worker, args=(out,)) for out in results
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        admitted = [result for out in results for result in out]
+        fills = sorted(fill for accepted, fill in admitted if accepted)
+        assert fills == list(range(1, limit + 1))
+        assert all(fill == limit for accepted, fill in admitted if not accepted)
+        assert buffer.offered_total == limit
+        assert buffer.rejected_total == threads * per_thread - limit
 
     def test_pending_state_round_trip(self):
         buffer = SlotBuffer(n_requests=3, limit=4)
@@ -367,7 +402,7 @@ class TestWarmRestart:
         drive(second, range(cut, HORIZON))
         assert len(solutions) == HORIZON - cut
         for slot, (x, expected) in enumerate(
-            zip(solutions, full_solutions[cut:]), start=cut
+            zip(solutions, full_solutions[cut:], strict=True), start=cut
         ):
             np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
         assert [p.trace_key() for p in second.placement_history()] == [

@@ -13,7 +13,7 @@ from repro.sim import (
     compare_controllers,
     run_repetitions,
 )
-from repro.sim.multirun import MetricSummary, _summarise
+from repro.sim.multirun import MetricSummary, RepetitionStudy, _summarise
 from repro.sim.parallel import repetition_registry
 from repro.utils.seeding import RngRegistry
 from repro.workload import ConstantDemandModel
@@ -58,6 +58,13 @@ class TestSummarise:
         narrow = _summarise("m", values, 0.80)
         wide = _summarise("m", values, 0.99)
         assert (wide.ci_high - wide.ci_low) > (narrow.ci_high - narrow.ci_low)
+
+    def test_pinned_t_interval(self):
+        """The half-width is t(0.975, df=4) * s / sqrt(n) on 1..5."""
+        s = _summarise("m", [1.0, 2.0, 3.0, 4.0, 5.0], 0.95)
+        half_width = 2.7764451051977934 * np.sqrt(2.5) / np.sqrt(5.0)
+        assert s.ci_high - s.mean == pytest.approx(half_width, rel=1e-12)
+        assert s.mean - s.ci_low == pytest.approx(half_width, rel=1e-12)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0])
     def test_rejects_closed_endpoints(self, confidence):
@@ -123,6 +130,24 @@ class TestCompareControllers:
         a = np.mean(study.summary("OL_GD", "mean_delay_ms").values)
         b = np.mean(study.summary("Greedy_GD", "mean_delay_ms").values)
         assert comparison.mean_difference == pytest.approx(b - a)
+
+    def test_pinned_sign_test_p_value(self):
+        """7 wins, 2 losses, 1 tie: the tie is dropped and the two-sided
+        exact binomial p-value is 2 * (1 + 9 + 36) / 2**9."""
+        a = [1.0] * 10
+        b = [2.0] * 7 + [0.5] * 2 + [1.0]
+        study = RepetitionStudy(
+            horizon=1,
+            repetitions=10,
+            summaries={
+                "A": {"mean_delay_ms": _summarise("mean_delay_ms", a, 0.95)},
+                "B": {"mean_delay_ms": _summarise("mean_delay_ms", b, 0.95)},
+            },
+            raw={},
+        )
+        comparison = compare_controllers(study, "A", "B")
+        assert (comparison.wins_a, comparison.wins_b, comparison.ties) == (7, 2, 1)
+        assert comparison.sign_test_p == pytest.approx(92 / 512, rel=1e-12)
 
     def test_identical_controller_ties(self):
         study = run_repetitions(scenario, seed=47, repetitions=2, horizon=8)

@@ -136,7 +136,7 @@ class TestBitIdentity:
         )
         for controller in serial.raw:
             for rep_serial, rep_parallel in zip(
-                serial.raw[controller], parallel.raw[controller]
+                serial.raw[controller], parallel.raw[controller], strict=True
             ):
                 np.testing.assert_array_equal(
                     rep_serial.delays_ms, rep_parallel.delays_ms

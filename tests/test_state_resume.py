@@ -181,7 +181,7 @@ class TestResumeBitIdentity:
 
         assert len(solutions) == HORIZON - cut
         for slot, (x, expected) in enumerate(
-            zip(solutions, full_solutions[cut:]), start=cut
+            zip(solutions, full_solutions[cut:], strict=True), start=cut
         ):
             np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
         np.testing.assert_array_equal(resumed.delays_ms, full.delays_ms)

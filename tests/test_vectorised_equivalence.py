@@ -116,7 +116,7 @@ class TestAssignmentEquivalence:
         _, requests, stations = self._world()
         fast = Assignment.from_stations(stations, requests)
         legacy = frozenset(
-            (r.service_index, int(i)) for r, i in zip(requests, stations)
+            (r.service_index, int(i)) for r, i in zip(requests, stations, strict=True)
         )
         assert fast.cached == legacy
 
@@ -228,7 +228,10 @@ class TestFailureLoopEquivalence:
             overload = np.maximum(loads / caps, 1.0)
             processing = demands * delays[stations] * overload[stations]
             cached = sorted(
-                {(r.service_index, int(i)) for r, i in zip(requests, stations)}
+                {
+                    (r.service_index, int(i))
+                    for r, i in zip(requests, stations, strict=True)
+                }
             )
             instantiation = 0.0
             for service, station in cached:

@@ -192,7 +192,7 @@ class TestRequestsFromTrace:
         trace = synthesize_nyc_wifi_trace(5, 30, rng)
         services = ServiceCatalog.generate(2, 5, rng)
         requests = requests_from_trace(trace, services, rng)
-        for r, u in zip(requests, trace.users):
+        for r, u in zip(requests, trace.users, strict=True):
             assert r.group_tag == u.group_tag
             assert r.basic_demand_mb == u.base_demand_mb
 
