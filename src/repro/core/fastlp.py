@@ -27,33 +27,78 @@ is the only place the repo builds the caching program:
   same arrays, and the capacity-row duals of the LP are the stations'
   congestion prices.
 
-``scipy.optimize._highspy`` is private scipy API, so this module is the
-only one that imports it, and it fails at import when the module is
-missing rather than fall back to another solve path (which would change
+HiGHS is reached through one compiled module,
+``scipy.optimize._highspy._core``, loaded from scipy's install directory
+by itself when this module is imported.  Importing it the usual way runs
+``scipy.optimize/__init__`` first, which loads ``scipy.sparse``,
+``scipy.linalg`` and some 300 other modules (about half a second and
+40 MB of a fresh process) that no solve here uses.  The core is
+registered in ``sys.modules`` under its own name, so a later ``import
+scipy.optimize`` (``exact_optimum``'s ``milp``, or ``scipy.stats``)
+reuses that one module object; a pybind11 module cannot be initialised
+twice.  It is private scipy API, so this module is the only one that
+loads it, and it fails at import when the core is missing or blocked
+rather than fall back to another solve path (which would change
 trajectories silently).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as error:  # pragma: no cover - depends on the install
-    raise ImportError(
-        "repro.core.fastlp drives the HiGHS solver vendored in scipy "
-        "(scipy.optimize._highspy); install scipy>=1.17,<1.18"
-    ) from error
 
 from repro import obs
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 
 __all__ = ["LpBasis", "PerSlotLpSolver"]
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core() -> ModuleType:
+    """scipy's HiGHS extension, without the ``scipy.optimize`` package."""
+    if _CORE in sys.modules:
+        core = sys.modules[_CORE]
+        if core is None:  # blocked, as the import system treats it
+            raise ModuleNotFoundError(f"import of {_CORE} halted; None in sys.modules")
+        return core
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ModuleNotFoundError("scipy is not installed")
+    directory = os.path.join(
+        scipy_spec.submodule_search_locations[0], "optimize", "_highspy"
+    )
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ModuleNotFoundError(f"no {_CORE} extension in {directory}")
+    spec = importlib.util.spec_from_file_location(_CORE, path)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
+
+
+try:
+    _highs = _load_highs_core()
+except ImportError as error:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "repro.core.fastlp drives the HiGHS solver vendored in scipy "
+        f"({_CORE}); install scipy>=1.17,<1.18"
+    ) from error
 
 #: ``HighsBasisStatus`` members by value, for rebuilding a basis.
 _STATUSES = sorted(_highs.HighsBasisStatus.__members__.values(), key=int)
@@ -142,26 +187,24 @@ class PerSlotLpSolver:
         cols = np.concatenate([x, x, y, x])
         data = np.concatenate([ones, ones, -ones, ones])
         self._n_rows = S + R * S + R
-        # CSC: HiGHS consumes columns.  It also makes the capacity patch a
-        # single strided assignment: each x column l*S+i holds exactly
-        # three entries — capacity row i, coupling row S+l*S+i and
-        # assignment row S+R*S+l — and after sort_indices() the capacity
-        # entry sits first, at data position 3*(l*S+i).
-        self._matrix = sparse.csc_matrix(
-            (data, (rows, cols)), shape=(self._n_rows, self._n_vars)
-        )
-        self._matrix.sort_indices()
-        if not np.array_equal(
-            self._matrix.indptr[: R * S + 1], 3 * np.arange(R * S + 1)
-        ):
-            raise AssertionError("x columns must hold exactly three entries")
-        # repro: allow[AG002] -- scipy.sparse CSC buffer, not a Tensor
-        self._values = self._matrix.data
+        # CSC, canonical (rows ascending within each column, no duplicate
+        # entries): HiGHS consumes columns.  It also makes the capacity
+        # patch a single strided assignment: each x column l*S+i holds
+        # exactly three entries — capacity row i, coupling row S+l*S+i and
+        # assignment row S+R*S+l — so the capacity entry sits first, at
+        # data position 3*(l*S+i).  The blocks above list every column's
+        # entries in ascending row order already, so a stable sort by
+        # column alone (a radix sort) yields the canonical order.
+        order = np.argsort(cols, kind="stable")
+        self._indices = rows[order].astype(np.int32)
+        self._values = data[order]
+        self._indptr = np.zeros(self._n_vars + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self._n_vars), out=self._indptr[1:])
         #: (R, S) view of the capacity coefficients: [l, i] aliases the
         #: data slot of x(l, i)'s capacity entry.
         self._capacity_view = self._values[: 3 * R * S : 3].reshape(R, S)
         # HiGHS reads one start per column; the end marker is implied by nnz.
-        self._col_starts = self._matrix.indptr[:-1]
+        self._col_starts = self._indptr[:-1]
 
         # Row bounds.  The capacity upper bounds are re-read from the live
         # stations every solve: stations can change capacity between slots
@@ -251,14 +294,20 @@ class PerSlotLpSolver:
         requests).  Raises ``RuntimeError`` unless HiGHS reports the
         program solved to optimality.
         """
+        # Only small instances come here: load the rest of scipy now.
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         self._patch(cost_ms, demands_mb)
+        matrix = sparse.csc_matrix(
+            (self._values, self._indices, self._indptr),
+            shape=(self._n_rows, self._n_vars),
+        )
         result = milp(
             self._c,
             integrality=np.ones(self._n_vars, dtype=np.int64),
             bounds=Bounds(0.0, 1.0),
-            constraints=LinearConstraint(
-                self._matrix, self._row_lower, self._row_upper
-            ),
+            constraints=LinearConstraint(matrix, self._row_lower, self._row_upper),
             options={"mip_rel_gap": 0.0},
         )
         if result.status != 0:
@@ -338,7 +387,7 @@ class PerSlotLpSolver:
             status = highs.passModel(
                 self._n_vars,
                 self._n_rows,
-                self._matrix.nnz,
+                len(self._values),
                 int(_highs.MatrixFormat.kColwise),
                 int(_highs.ObjSense.kMinimize),
                 0.0,
@@ -348,7 +397,7 @@ class PerSlotLpSolver:
                 self._row_lower,
                 self._row_upper,
                 self._col_starts,
-                self._matrix.indices,
+                self._indices,
                 self._values,
                 self._continuous,
             )

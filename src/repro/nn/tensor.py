@@ -112,11 +112,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     implementation in the package.
     """
     # One exp over exp(-|x|) covers both branches exactly: for x >= 0 the
-    # selected value is 1/(1+exp(-x)) and for x < 0 it is
-    # exp(x)/(1+exp(x)), with -|x| equal to -x resp. x in each branch.
+    # value is 1/(1+exp(-x)) and for x < 0 it is exp(x)/(1+exp(x)), with
+    # -|x| equal to -x resp. x in each branch.  ex lies in [0, 1], so
+    # max(ex, x >= 0) is the numerator of either branch (1 resp. ex) and
+    # one division replaces two plus a select; NaN still propagates.
     ex = np.exp(-np.abs(x))
-    denominator = 1.0 + ex
-    return np.where(x >= 0, 1.0 / denominator, ex / denominator)
+    return np.maximum(ex, x >= 0) / (1.0 + ex)
 
 
 class Tensor:

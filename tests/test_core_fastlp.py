@@ -1,6 +1,5 @@
 """Tests for the structure-cached per-slot LP solver."""
 
-import ast
 import os
 import subprocess
 import sys
@@ -297,37 +296,129 @@ class TestClairvoyantSolverCache:
 
 
 class TestVendoredHighs:
-    """HiGHS is reached through scipy's private ``_highspy`` module."""
+    """HiGHS is reached through scipy's private ``_highspy._core`` module."""
 
-    def test_only_fastlp_imports_the_private_module(self):
-        package = Path(repro.__file__).resolve().parent
-        importers = []
-        for path in sorted(package.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                    names += [f"{node.module}.{alias.name}" for alias in node.names]
-                else:
-                    continue
-                if any("_highspy" in name for name in names):
-                    importers.append(path.relative_to(package).as_posix())
-        assert importers == ["core/fastlp.py"]
-
-    def test_missing_highs_fails_at_import(self):
-        code = (
-            "import sys, scipy.optimize\n"
-            "sys.modules['scipy.optimize._highspy'] = None\n"
-            "import repro.core.fastlp\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        result = subprocess.run(
+    @staticmethod
+    def run_fresh(code, *path):
+        pythonpath = [*path, str(Path(repro.__file__).parents[1])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, pythonpath)))
+        return subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
+
+    def assert_pinned_import_error(self, result):
         assert result.returncode != 0
         assert "ImportError" in result.stderr
         assert "scipy>=1.17,<1.18" in result.stderr
+
+    def test_only_fastlp_imports_the_private_module(self):
+        package = Path(repro.__file__).resolve().parent
+        users = [
+            path.relative_to(package).as_posix()
+            for path in sorted(package.rglob("*.py"))
+            if "_highspy" in path.read_text()
+        ]
+        assert users == ["core/fastlp.py"]
+
+    def test_missing_highs_fails_at_import(self):
+        self.assert_pinned_import_error(
+            self.run_fresh(
+                "import sys\n"
+                "sys.modules['scipy.optimize._highspy._core'] = None\n"
+                "import repro.core.fastlp\n"
+            )
+        )
+
+    def test_core_absent_from_scipy_fails_at_import(self, tmp_path):
+        # A scipy install without the compiled HiGHS core.
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        self.assert_pinned_import_error(
+            self.run_fresh("import repro.core.fastlp\n", tmp_path)
+        )
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            (
+                "import repro.core.fastlp as fastlp\n"
+                "assert 'scipy.optimize' not in sys.modules\n",
+                "from scipy.optimize import linprog, milp\n"
+                "assert linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1],"
+                " method='highs').fun == 1\n",
+            ),
+            ("import scipy.optimize\n", "import repro.core.fastlp as fastlp\n"),
+        ],
+        ids=["fastlp_first", "scipy_optimize_first"],
+    )
+    def test_one_core_module_in_either_import_order(self, first, then):
+        code = (
+            "import sys\n"
+            + first
+            + then
+            + "import scipy.optimize._highspy._core as core\n"
+            "assert core is fastlp._highs\n"
+            "assert sys.modules['scipy.optimize._highspy._core'] is core\n"
+            "from tests.test_core_fastlp import make_instance\n"
+            "network, requests, demands = make_instance(3, 4, 5)\n"
+            "solver = fastlp.PerSlotLpSolver(network, requests)\n"
+            "cost = demands[:, None] * network.delays.true_means\n"
+            "_, lp = solver.optimum(cost, demands)\n"
+            "x, ilp = solver.exact_optimum(cost, demands)\n"
+            "assert set(x.ravel().tolist()) <= {0.0, 1.0}\n"
+            "assert ilp >= lp - 1e-9\n"
+        )
+        result = self.run_fresh(code, Path(__file__).resolve().parents[1])
+        assert result.returncode == 0, result.stderr
+
+
+def dense_constraints(network, requests):
+    """Eqs. (4)-(6) written out densely in the solver's row/column layout,
+    capacity coefficients still 1 as built."""
+    R, S = len(requests), network.n_stations
+    services = sorted({r.service_index for r in requests})
+    matrix = np.zeros((S + R * S + R, R * S + len(services) * S))
+    for l, request in enumerate(requests):
+        k = services.index(request.service_index)
+        for i in range(S):
+            matrix[i, l * S + i] = 1.0  # Eq. 5, capacity
+            matrix[S + l * S + i, l * S + i] = 1.0  # Eq. 6, coupling
+            matrix[S + l * S + i, R * S + k * S + i] = -1.0
+            matrix[S + R * S + l, l * S + i] = 1.0  # Eq. 4, assignment
+    return matrix
+
+
+class TestColumnArrays:
+    """The hand-built CSC arrays are the canonical ones ``scipy.sparse`` makes."""
+
+    @pytest.mark.parametrize(
+        "seed, n_stations, n_requests", [(0, 3, 1), (1, 6, 4), (2, 10, 12), (3, 17, 9)]
+    )
+    def test_equal_scipy_canonical_csc(self, seed, n_stations, n_requests):
+        self.assert_canonical(*make_instance(seed, n_stations, n_requests)[:2])
+
+    def test_service_without_requests(self):
+        network, requests, _ = make_instance(4, 5, 6, n_services=4)
+        requests = [
+            Request(r.index, 2 * (r.index % 2), r.basic_demand_mb) for r in requests
+        ]  # services 1 and 3 unrequested
+        self.assert_canonical(network, requests)
+
+    @staticmethod
+    def assert_canonical(network, requests):
+        from scipy import sparse
+
+        solver = PerSlotLpSolver(network, requests)
+        reference = sparse.csc_matrix(dense_constraints(network, requests))
+        assert reference.has_canonical_format
+        for ours, theirs in (
+            (solver._indptr, reference.indptr),
+            (solver._indices, reference.indices),
+            (solver._values, reference.data),
+        ):
+            assert ours.dtype == theirs.dtype
+            np.testing.assert_array_equal(ours, theirs)
+        assert solver._n_rows == reference.shape[0]
 
 
 class TestLpBasis:

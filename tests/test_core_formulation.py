@@ -40,7 +40,7 @@ class TestBuildCachingModel:
         network, requests, _ = small
         solver = PerSlotLpSolver(network, requests)
         # Eq.4: |R|; Eq.5: |BS|; Eq.6: |R| * |BS|.
-        assert solver._matrix.shape[0] == 4 + 6 + 4 * 6
+        assert solver._n_rows == 4 + 6 + 4 * 6
 
     def test_lp_solution_is_valid_distribution(self, small):
         network, requests, demands = small

@@ -1,13 +1,17 @@
-"""Import budget: serving and running never load ``scipy.stats``.
+"""Import budget: serving and running load only the scipy they call.
 
 ``scipy.stats`` (with ``scipy.integrate``, ``scipy.interpolate`` and
 ``scipy.ndimage`` behind it) is about a fifth of a fresh process's
 resident memory and a third of its start-up, yet only the repetition
 summaries (t-interval, sign test) and the GAN's KS statistic call it.
-Those call sites import it where they run; this test keeps every other
-path from loading it again: the package imports, an in-process decision
-service session, and short offline runs of OL_GAN and of OL_GD with the
-clairvoyant optimum.
+``scipy.optimize`` (with ``scipy.sparse`` and ``scipy.linalg``) is about
+half a second more, yet every LP solve goes straight to the one compiled
+HiGHS module inside it, ``scipy.optimize._highspy._core``, which
+:mod:`repro.core.fastlp` loads by itself; only ``exact_optimum``'s
+``milp`` needs the package.  Those call sites import what they use where
+they run; these tests keep every other path from loading them: the
+package imports, an in-process decision service session, and short
+offline runs of OL_GAN and of OL_GD with the clairvoyant optimum.
 
 The check runs in a fresh interpreter, because the test process itself
 has long since imported everything.
@@ -19,6 +23,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 PROBE = textwrap.dedent(
     """
@@ -86,7 +92,9 @@ PROBE = textwrap.dedent(
 )
 
 
-def test_serving_and_running_never_load_scipy_stats():
+@pytest.fixture(scope="module")
+def loaded():
+    """The ``scipy.*`` modules a fresh interpreter holds after the probe."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -99,8 +107,21 @@ def test_serving_and_running_never_load_scipy_stats():
         check=False,
     )
     assert completed.returncode == 0, completed.stderr
-    loaded = json.loads(completed.stdout.strip().splitlines()[-1])
-    assert "scipy.optimize" in loaded  # the probe did reach the LP stack
+    modules = json.loads(completed.stdout.strip().splitlines()[-1])
+    # The probe did reach the LP stack.
+    assert "scipy.optimize._highspy._core" in modules
+    return modules
+
+
+def test_serving_and_running_never_load_scipy_stats(loaded):
     assert "scipy.stats" not in loaded, (
         "scipy.stats was imported outside the summary call sites"
+    )
+
+
+@pytest.mark.parametrize("package", ["scipy.optimize", "scipy.sparse", "scipy.linalg"])
+def test_serving_and_running_load_only_the_highs_core(loaded, package):
+    assert package not in loaded, (
+        f"{package} was imported outside exact_optimum; the LP path needs "
+        "only scipy.optimize._highspy._core"
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.gradcheck import gradcheck
-from repro.nn.tensor import Tensor, concat, stack
+from repro.nn.tensor import Tensor, _stable_sigmoid, concat, stack
 
 
 def param(shape, seed=0, scale=1.0, positive=False):
@@ -96,6 +96,40 @@ class TestForwardSemantics:
         t.sum().backward()
         t.sum().backward()
         np.testing.assert_array_equal(t.grad, [2.0, 2.0])
+
+
+class TestStableSigmoid:
+    """The one-division sigmoid reproduces the two-branch formula bit for bit."""
+
+    @staticmethod
+    def two_branch(x):
+        ex = np.exp(-np.abs(x))
+        denominator = 1.0 + ex
+        return np.where(x >= 0, 1.0 / denominator, ex / denominator)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_match_the_two_branch_formula(self, dtype):
+        info = np.finfo(dtype)
+        edges = [
+            0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+            info.smallest_subnormal, -info.smallest_subnormal,
+            info.smallest_normal, -info.smallest_normal,
+            info.max, -info.max, 1.0, -1.0, 36.0, -36.0, 104.0, -104.0,
+            745.0, -745.0,
+        ]
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [
+                np.array(edges, dtype=dtype),
+                (rng.standard_normal(20_000) * 30.0).astype(dtype),
+                rng.uniform(-1e-6, 1e-6, 2_000).astype(dtype),
+            ]
+        ).reshape(2, -1)
+        expected, got = self.two_branch(x), _stable_sigmoid(x)
+        assert got.dtype == dtype
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        np.testing.assert_array_equal(got.view(bits), expected.view(bits))
+        assert np.isnan(got[0, 4]) and np.isnan(got[0, 5])
 
 
 class TestSimpleGradients:
