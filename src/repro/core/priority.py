@@ -40,14 +40,13 @@ class PriorityController(Controller):
         self._rng = rng
         d_min, d_max = network.delays.bounds
         self.arms = ArmStats(network.n_stations, prior_mean=(d_min + d_max) / 2.0)
-        # Coverage counts are static (user locations are per-request fixed).
-        self._priorities = np.array(
-            [network.coverage_count(r.location) for r in requests]
-        )
-        self._covering: List[np.ndarray] = [
-            np.array(network.covering_stations(r.location), dtype=int)
-            for r in requests
-        ]
+        # Coverage is static (user locations are per-request fixed).
+        self._set_coverage(network.covering_stations_at(r.location for r in requests))
+
+    def _set_coverage(self, covering: List[List[int]]) -> None:
+        """Covering stations per request; a request's priority is their count."""
+        self._priorities = np.array([len(stations) for stations in covering])
+        self._covering = [np.array(stations, dtype=int) for stations in covering]
 
     @property
     def priorities(self) -> np.ndarray:

@@ -12,14 +12,15 @@ evaluation settings:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, Iterable, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.mec.basestation import BaseStation, BaseStationTier
 from repro.mec.delay import DelayProcess, UniformTierDelay
 from repro.mec.geometry import Point
+from repro.mec.graph import Graph
 from repro.mec.services import ServiceCatalog
 from repro.mec.topology import as1755_topology, gtitm_topology, place_base_stations
 from repro.utils.seeding import RngRegistry
@@ -49,7 +50,7 @@ class MECNetwork:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Graph,
         stations: Sequence[BaseStation],
         services: ServiceCatalog,
         delays: DelayProcess,
@@ -169,11 +170,26 @@ class MECNetwork:
 
     def coverage_count(self, point: Point) -> int:
         """How many base stations cover ``point`` (Pri_GD's priority key)."""
-        return sum(1 for bs in self.stations if bs.covers(point))
+        return len(self.covering_stations(point))
 
     def covering_stations(self, point: Point) -> List[int]:
         """Indices of stations whose disk contains ``point``."""
-        return [bs.index for bs in self.stations if bs.covers(point)]
+        return self.covering_stations_at([point])[0]
+
+    def covering_stations_at(self, points: Iterable[Point]) -> List[List[int]]:
+        """Each point's covering stations, in one pass over the stations per point.
+
+        The test is :meth:`BaseStation.covers` exactly (``math.hypot`` of
+        the offsets against the radius), so boundary points agree.
+        """
+        disks = [
+            (bs.index, bs.position.x, bs.position.y, bs.radius_m)
+            for bs in self.stations
+        ]
+        return [
+            [i for i, x, y, r in disks if math.hypot(x - p.x, y - p.y) <= r]
+            for p in points
+        ]
 
     def tier_counts(self) -> Dict[BaseStationTier, int]:
         """Histogram of stations per tier (for sanity checks and docs)."""

@@ -13,12 +13,10 @@ available to users building richer delay models.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
-import numpy as np
+from typing import Dict, List
 
 from repro.mec.geometry import Point
+from repro.mec.graph import Graph, NoPath, single_source_dijkstra
 from repro.mec.network import MECNetwork
 from repro.utils.validation import require_non_negative
 
@@ -33,7 +31,7 @@ class BackhaulPaths:
     link's ``bandwidth_mbps``.
     """
 
-    def __init__(self, graph: nx.Graph):
+    def __init__(self, graph: Graph):
         for u, v, data in graph.edges(data=True):
             if "delay_ms" not in data or "bandwidth_mbps" not in data:
                 raise ValueError(
@@ -47,7 +45,7 @@ class BackhaulPaths:
         if source not in self._distance_cache:
             if source not in self._graph:
                 raise KeyError(f"node {source} not in the topology")
-            distances, paths = nx.single_source_dijkstra(
+            distances, paths = single_source_dijkstra(
                 self._graph, source, weight="delay_ms"
             )
             self._distance_cache[source] = distances
@@ -60,7 +58,7 @@ class BackhaulPaths:
         self._ensure_source(source)
         distances = self._distance_cache[source]
         if target not in distances:
-            raise nx.NetworkXNoPath(f"no path from {source} to {target}")
+            raise NoPath(f"no path from {source} to {target}")
         return float(distances[target])
 
     def path(self, source: int, target: int) -> List[int]:
@@ -70,7 +68,7 @@ class BackhaulPaths:
         self._ensure_source(source)
         paths = self._path_cache[source]
         if target not in paths:
-            raise nx.NetworkXNoPath(f"no path from {source} to {target}")
+            raise NoPath(f"no path from {source} to {target}")
         return list(paths[target])
 
     def transfer_delay_ms(self, source: int, target: int, data_mb: float) -> float:
@@ -85,7 +83,7 @@ class BackhaulPaths:
         nodes = self.path(source, target)
         total = 0.0
         for u, v in itertools.pairwise(nodes):
-            edge = self._graph.edges[u, v]
+            edge = self._graph.edge(u, v)
             total += float(edge["delay_ms"])
             total += (data_mb * 8.0 / float(edge["bandwidth_mbps"])) * 1000.0
         return total

@@ -13,9 +13,9 @@ degree distribution, which produces the bottleneck links the paper credits
 for the wider algorithm gap in Fig. 5 (see DESIGN.md §2 for the
 substitution rationale).
 
-All generators return a ``networkx.Graph`` whose nodes are integers
-``0..n-1`` and whose edges carry a ``delay_ms`` attribute (link propagation
-delay) and a ``bandwidth_mbps`` attribute.
+All generators return a :class:`repro.mec.graph.Graph` whose nodes are
+integers ``0..n-1`` and whose edges carry a ``delay_ms`` attribute (link
+propagation delay) and a ``bandwidth_mbps`` attribute.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import itertools
 import math
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.mec.basestation import TIER_PROFILES, BaseStation, BaseStationTier
 from repro.mec.geometry import Point, random_point_in_disk
+from repro.mec.graph import Graph, barabasi_albert_tree, connected_components
 from repro.utils.validation import require_positive, require_probability
 
 __all__ = [
@@ -55,39 +55,72 @@ _LINK_DELAY_RANGE_MS = (0.5, 3.0)
 _LINK_BANDWIDTH_RANGE_MBPS = (200.0, 1000.0)
 
 
-def _ensure_connected(graph: nx.Graph, rng: np.random.Generator) -> None:
+def _first_two_components(
+    graph: Graph, nodes: Optional[Sequence[int]] = None
+) -> List[List[int]]:
+    """The first two components (one when connected), as node lists."""
+    return [list(c) for c in itertools.islice(connected_components(graph, nodes), 2)]
+
+
+def _ensure_connected(graph: Graph, rng: np.random.Generator) -> None:
     """Connect components by adding one random edge between each pair.
 
     GT-ITM retries until connected; adding bridge edges is equivalent for
     our purposes and keeps generation deterministic in the number of draws.
     """
-    components = [list(c) for c in nx.connected_components(graph)]
+    components = _first_two_components(graph)
     while len(components) > 1:
         a = components[0][int(rng.integers(len(components[0])))]
         b = components[1][int(rng.integers(len(components[1])))]
         graph.add_edge(a, b)
-        components = [list(c) for c in nx.connected_components(graph)]
+        components = _first_two_components(graph)
+
+
+def _link_random_pairs(
+    graph: Graph,
+    nodes: Sequence[int],
+    probability: float,
+    rng: np.random.Generator,
+) -> None:
+    """Link each pair of ``nodes`` with ``probability``.
+
+    One coin per pair in ``itertools.combinations`` order, all drawn in
+    one call: the same stream as one scalar draw per pair.
+    """
+    first, second = np.triu_indices(len(nodes), 1)
+    linked = rng.uniform(size=first.size) < probability
+    labels = np.asarray(nodes)
+    for u, v in zip(labels[first[linked]].tolist(), labels[second[linked]].tolist()):
+        graph.add_edge(u, v)
 
 
 def _assign_link_attributes(
-    graph: nx.Graph,
+    graph: Graph,
     rng: np.random.Generator,
     delay_range_ms: Sequence[float] = _LINK_DELAY_RANGE_MS,
     bandwidth_range_mbps: Sequence[float] = _LINK_BANDWIDTH_RANGE_MBPS,
 ) -> None:
-    """Attach uniform-random ``delay_ms`` / ``bandwidth_mbps`` to every edge."""
-    lo_d, hi_d = delay_range_ms
-    lo_b, hi_b = bandwidth_range_mbps
-    for u, v in graph.edges:
-        graph.edges[u, v]["delay_ms"] = float(rng.uniform(lo_d, hi_d))
-        graph.edges[u, v]["bandwidth_mbps"] = float(rng.uniform(lo_b, hi_b))
+    """Attach uniform-random ``delay_ms`` / ``bandwidth_mbps`` to every edge.
+
+    One ``(E, 2)`` draw in edge order: the same stream as a delay draw
+    then a bandwidth draw per edge.
+    """
+    edges = list(graph.edges(data=True))
+    draws = rng.uniform(
+        (delay_range_ms[0], bandwidth_range_mbps[0]),
+        (delay_range_ms[1], bandwidth_range_mbps[1]),
+        size=(len(edges), 2),
+    )
+    for (_, _, attributes), (delay, bandwidth) in zip(edges, draws.tolist()):
+        attributes["delay_ms"] = delay
+        attributes["bandwidth_mbps"] = bandwidth
 
 
 def gtitm_topology(
     n: int,
     rng: np.random.Generator,
     link_probability: float = _DEFAULT_LINK_PROBABILITY,
-) -> nx.Graph:
+) -> Graph:
     """GT-ITM flat random topology: each pair connected with ``link_probability``.
 
     This is exactly the model the paper states for its synthetic networks
@@ -96,11 +129,9 @@ def gtitm_topology(
     """
     require_positive("n", n)
     require_probability("link_probability", link_probability)
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_nodes_from(range(n))
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.uniform() < link_probability:
-            graph.add_edge(u, v)
+    _link_random_pairs(graph, range(n), link_probability, rng)
     _ensure_connected(graph, rng)
     _assign_link_attributes(graph, rng)
     return graph
@@ -113,7 +144,7 @@ def transit_stub_topology(
     stub_size: int,
     rng: np.random.Generator,
     intra_probability: float = 0.6,
-) -> nx.Graph:
+) -> Graph:
     """GT-ITM transit-stub hierarchical topology.
 
     ``transit_domains`` densely-connected cores; each transit node hangs
@@ -130,7 +161,7 @@ def transit_stub_topology(
         require_positive(name, value)
     require_probability("intra_probability", intra_probability)
 
-    graph = nx.Graph()
+    graph = Graph()
     next_node = 0
 
     def _new_nodes(count: int) -> List[int]:
@@ -141,19 +172,11 @@ def transit_stub_topology(
         return nodes
 
     def _dense_subgraph(nodes: List[int]) -> None:
-        for u, v in itertools.combinations(nodes, 2):
-            if rng.uniform() < intra_probability:
-                graph.add_edge(u, v)
-        sub = graph.subgraph(nodes).copy()
-        if len(nodes) > 1 and not nx.is_connected(sub):
-            _ensure_connected_within(nodes)
-
-    def _ensure_connected_within(nodes: List[int]) -> None:
-        sub = graph.subgraph(nodes)
-        comps = [list(c) for c in nx.connected_components(sub)]
+        _link_random_pairs(graph, nodes, intra_probability, rng)
+        comps = _first_two_components(graph, nodes)
         while len(comps) > 1:
             graph.add_edge(comps[0][0], comps[1][0])
-            comps = [list(c) for c in nx.connected_components(graph.subgraph(nodes))]
+            comps = _first_two_components(graph, nodes)
 
     transit_nodes_by_domain: List[List[int]] = []
     for _ in range(transit_domains):
@@ -186,7 +209,7 @@ def _rocketfuel_like(
     n_edges: int,
     seed: int,
     rng: Optional[np.random.Generator],
-) -> nx.Graph:
+) -> Graph:
     """Synthesise a Rocketfuel-scale backbone (see DESIGN.md §2).
 
     A preferential-attachment tree gives the power-law hub structure;
@@ -196,28 +219,25 @@ def _rocketfuel_like(
     bottlenecks.
     """
     local_rng = rng if rng is not None else np.random.default_rng(seed)
-    graph = nx.barabasi_albert_graph(n_nodes, 1, seed=seed)
-    existing = set(map(frozenset, graph.edges))
+    graph = barabasi_albert_tree(n_nodes, seed)
     while graph.number_of_edges() < n_edges:
         degrees = np.array([graph.degree(i) for i in range(n_nodes)], dtype=float)
         weights = degrees / degrees.sum()
         u = int(local_rng.choice(n_nodes, p=weights))
         v = int(local_rng.integers(n_nodes))
-        if u == v or frozenset((u, v)) in existing:
+        if u == v or graph.has_edge(u, v):
             continue
         graph.add_edge(u, v)
-        existing.add(frozenset((u, v)))
-    degrees = dict(graph.degree())
+    _assign_link_attributes(graph, local_rng, (0.5, 2.0), (100.0, 600.0))
+    degrees = {node: graph.degree(node) for node in graph}
     max_degree = max(degrees.values())
-    for u, v in graph.edges:
+    for u, v, attributes in graph.edges(data=True):
         congestion = (degrees[u] + degrees[v]) / (2.0 * max_degree)
-        base = float(local_rng.uniform(0.5, 2.0))
-        graph.edges[u, v]["delay_ms"] = base * (1.0 + 4.0 * congestion)
-        graph.edges[u, v]["bandwidth_mbps"] = float(local_rng.uniform(100.0, 600.0))
+        attributes["delay_ms"] *= 1.0 + 4.0 * congestion
     return graph
 
 
-def as1755_topology(rng: Optional[np.random.Generator] = None) -> nx.Graph:
+def as1755_topology(rng: Optional[np.random.Generator] = None) -> Graph:
     """Deterministic AS1755-scale topology (87 routers, 161 links).
 
     Rocketfuel's AS1755 (EBONE) backbone has a heavy-tailed degree
@@ -233,7 +253,7 @@ def as1755_topology(rng: Optional[np.random.Generator] = None) -> nx.Graph:
     return _rocketfuel_like(AS1755_NODE_COUNT, AS1755_EDGE_COUNT, 1755, rng)
 
 
-def as3967_topology(rng: Optional[np.random.Generator] = None) -> nx.Graph:
+def as3967_topology(rng: Optional[np.random.Generator] = None) -> Graph:
     """Deterministic AS3967-scale topology (79 routers, 147 links).
 
     A second Rocketfuel backbone (Exodus, US) beyond the paper's AS1755 —
@@ -244,7 +264,7 @@ def as3967_topology(rng: Optional[np.random.Generator] = None) -> nx.Graph:
 
 
 def place_base_stations(
-    graph: nx.Graph,
+    graph: Graph,
     rng: np.random.Generator,
     macro_fraction: float = 0.1,
     micro_fraction: float = 0.3,

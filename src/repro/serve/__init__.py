@@ -34,7 +34,6 @@ from repro.serve.config import (
     DEFAULT_SHUTDOWN_TIMEOUT,
     ServeConfig,
 )
-from repro.serve.exporter import PROMETHEUS_CONTENT_TYPE, MetricsExporter
 from repro.serve.ingest import Offer, SlotBuffer
 from repro.serve.lifecycle import (
     DRAINING,
@@ -55,6 +54,16 @@ from repro.serve.protocol import (
 )
 from repro.serve.runner import serve
 from repro.serve.server import DecisionServer, Placement, ServeError
+
+
+def __getattr__(name: str) -> object:
+    # The exporter loads http.server, which only --metrics-port needs.
+    if name in ("MetricsExporter", "PROMETHEUS_CONTENT_TYPE"):
+        from repro.serve import exporter
+
+        return getattr(exporter, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_BUFFER_LIMIT",

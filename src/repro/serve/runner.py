@@ -22,12 +22,14 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
 
 from repro.serve.config import ServeConfig
-from repro.serve.exporter import MetricsExporter
 from repro.serve.protocol import ProtocolServer, serve_stdio
 from repro.serve.server import DecisionServer
+
+if TYPE_CHECKING:
+    from repro.serve.exporter import MetricsExporter
 
 __all__ = ["serve"]
 
@@ -71,6 +73,9 @@ def serve(
     tcp: Optional[ProtocolServer] = None
     try:
         if metrics_port is not None:
+            # http.server is loaded only when the exporter runs.
+            from repro.serve.exporter import MetricsExporter
+
             exporter = MetricsExporter(server, host=host, port=metrics_port)
             exporter.start()
             print(f"metrics on {host}:{exporter.port}", file=out, flush=True)

@@ -170,11 +170,5 @@ class MobilePriorityController(PriorityController):
 
     def decide(self, slot: int, demands: Optional[np.ndarray]) -> Assignment:
         positions = self._mobility.positions_at(slot)
-        self._priorities = np.array(
-            [self.network.coverage_count(p) for p in positions]
-        )
-        self._covering = [
-            np.array(self.network.covering_stations(p), dtype=int)
-            for p in positions
-        ]
+        self._set_coverage(self.network.covering_stations_at(positions))
         return super().decide(slot, demands)

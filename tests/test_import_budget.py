@@ -1,4 +1,4 @@
-"""Import budget: serving and running load only the scipy they call.
+"""Import budget: serving and running load only what they call.
 
 ``scipy.stats`` (with ``scipy.integrate``, ``scipy.interpolate`` and
 ``scipy.ndimage`` behind it) is about a fifth of a fresh process's
@@ -12,6 +12,12 @@ HiGHS module inside it, ``scipy.optimize._highspy._core``, which
 they run; these tests keep every other path from loading them: the
 package imports, an in-process decision service session, and short
 offline runs of OL_GAN and of OL_GD with the clairvoyant optimum.
+
+Two more packages stay out of those paths.  ``networkx`` (about 14 MB
+and 340 modules) is no longer a dependency: :mod:`repro.mec.graph`
+builds the topologies.  ``http.server`` (about 6 MB with ``email``
+behind it) serves only the Prometheus exporter, which ``repro serve``
+imports when ``--metrics-port`` is given.
 
 The check runs in a fresh interpreter, because the test process itself
 has long since imported everything.
@@ -28,16 +34,21 @@ import pytest
 
 PROBE = textwrap.dedent(
     """
+    import io
     import json
+    import re
     import sys
     import tempfile
+    import threading
+    import time
 
     import repro.api
     import repro.cli
     from repro.api import DecisionServer, ServeConfig, make_controller, run_simulation
     from repro.mec.network import MECNetwork
     from repro.mec.requests import Request
-    from repro.serve.protocol import handle_line
+    from repro.serve import serve
+    from repro.serve.protocol import handle_line, request_over_socket
     from repro.utils.seeding import RngRegistry
     from repro.workload import BurstyDemandModel
 
@@ -61,6 +72,33 @@ PROBE = textwrap.dedent(
             reply = json.loads(handle_line(server, json.dumps(line)))
             assert reply["ok"], reply
         server.stop()
+
+    # The TCP front end as `repro serve` runs it, without a metrics port.
+    banner = io.StringIO()
+    config = ServeConfig(
+        controller="OL_GD", seed=12, horizon=4, n_stations=8, n_services=2,
+        n_requests=6, n_hotspots=2,
+    )
+    front = threading.Thread(
+        target=serve,
+        args=(config,),
+        kwargs={"port": 0, "install_signal_handlers": False, "banner": banner},
+    )
+    front.start()
+    deadline = time.monotonic() + 60.0
+    while not (announced := re.search("serving on [^:]+:([0-9]+)", banner.getvalue())):
+        assert front.is_alive() and time.monotonic() < deadline, banner.getvalue()
+        time.sleep(0.01)
+    port = int(announced.group(1))
+    for line in (
+        {"op": "offer", "request": 2, "volume_mb": 1.0},
+        {"op": "decide", "slot": 0},
+        {"op": "shutdown"},
+    ):
+        reply = request_over_socket("127.0.0.1", port, line)
+        assert reply["ok"], reply
+    front.join(60.0)
+    assert not front.is_alive()
 
     def world(name, **options):
         rngs = RngRegistry(seed=5)
@@ -87,14 +125,14 @@ PROBE = textwrap.dedent(
         demands_known=False,
     )
     run_simulation(*world("OL_GD"), 2, compute_optimal=True)
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+    print(json.dumps(sorted(sys.modules)))
     """
 )
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    """The ``scipy.*`` modules a fresh interpreter holds after the probe."""
+    """The modules a fresh interpreter holds after the probe."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -124,4 +162,12 @@ def test_serving_and_running_load_only_the_highs_core(loaded, package):
     assert package not in loaded, (
         f"{package} was imported outside exact_optimum; the LP path needs "
         "only scipy.optimize._highspy._core"
+    )
+
+
+@pytest.mark.parametrize("module", ["networkx", "http.server"])
+def test_serving_and_running_never_load(loaded, module):
+    assert module not in loaded, (
+        f"{module} was imported by the package, a served session without a "
+        "metrics port, or an offline run"
     )

@@ -25,7 +25,7 @@ class TestSynthetic:
         b = MECNetwork.synthetic(30, 4, RngRegistry(seed=3))
         np.testing.assert_array_equal(a.capacities_mhz, b.capacities_mhz)
         np.testing.assert_array_equal(a.delays.true_means, b.delays.true_means)
-        assert sorted(a.graph.edges) == sorted(b.graph.edges)
+        assert sorted(a.graph.edges()) == sorted(b.graph.edges())
 
     def test_capacities_vector(self, net):
         caps = net.capacities_mhz

@@ -1,11 +1,11 @@
 """Tests for backhaul paths and the transport-aware cost extension."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core import Assignment, evaluate_assignment, evaluate_with_transport
 from repro.mec import BackhaulPaths, MECNetwork, access_station
+from repro.mec.graph import Graph, NoPath
 from repro.mec.geometry import Point
 from repro.mec.requests import Request
 from repro.utils.seeding import RngRegistry
@@ -13,7 +13,7 @@ from repro.utils.seeding import RngRegistry
 
 def line_graph():
     """0 -1ms- 1 -2ms- 2, bandwidths 800 / 400 Mbps."""
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_edge(0, 1, delay_ms=1.0, bandwidth_mbps=800.0)
     graph.add_edge(1, 2, delay_ms=2.0, bandwidth_mbps=400.0)
     return graph
@@ -58,11 +58,11 @@ class TestBackhaulPaths:
         graph = line_graph()
         graph.add_node(9)
         paths = BackhaulPaths(graph)
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPath):
             paths.path(0, 9)
 
     def test_missing_attributes_rejected(self):
-        graph = nx.Graph()
+        graph = Graph()
         graph.add_edge(0, 1)
         with pytest.raises(ValueError, match="delay_ms"):
             BackhaulPaths(graph)

@@ -1,10 +1,10 @@
 """Tests for topology generators and base-station placement."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.mec.basestation import BaseStationTier
+from repro.mec.graph import Graph, is_connected
 from repro.mec.topology import (
     AS1755_EDGE_COUNT,
     AS1755_NODE_COUNT,
@@ -15,6 +15,19 @@ from repro.mec.topology import (
 )
 
 
+def bridges(graph):
+    """Edges whose removal disconnects ``graph``."""
+    edges = list(graph.edges())
+    for cut in edges:
+        rest = Graph()
+        rest.add_nodes_from(graph)
+        for edge in edges:
+            if edge != cut:
+                rest.add_edge(*edge)
+        if not is_connected(rest):
+            yield cut
+
+
 class TestGtitmTopology:
     def test_node_count(self):
         g = gtitm_topology(40, np.random.default_rng(0))
@@ -23,7 +36,7 @@ class TestGtitmTopology:
     def test_connected(self):
         for seed in range(5):
             g = gtitm_topology(30, np.random.default_rng(seed))
-            assert nx.is_connected(g)
+            assert is_connected(g)
 
     def test_link_probability_controls_density(self):
         rng = np.random.default_rng(1)
@@ -47,7 +60,7 @@ class TestGtitmTopology:
     def test_deterministic_given_rng(self):
         g1 = gtitm_topology(25, np.random.default_rng(9))
         g2 = gtitm_topology(25, np.random.default_rng(9))
-        assert sorted(g1.edges) == sorted(g2.edges)
+        assert sorted(g1.edges()) == sorted(g2.edges())
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -61,12 +74,12 @@ class TestTransitStub:
         g = transit_stub_topology(2, 3, 2, 4, np.random.default_rng(0))
         # 2 transit domains of 3 + each of the 6 transit nodes hangs 2 stubs of 4
         assert g.number_of_nodes() == 2 * 3 + 6 * 2 * 4
-        assert nx.is_connected(g)
+        assert is_connected(g)
 
     def test_stub_gateways_create_cut_edges(self):
         """Stub domains attach by one gateway edge, so bridges must exist."""
         g = transit_stub_topology(2, 2, 2, 3, np.random.default_rng(1))
-        assert any(True for _ in nx.bridges(g))
+        assert any(True for _ in bridges(g))
 
     def test_edge_attributes_assigned(self):
         g = transit_stub_topology(1, 2, 1, 3, np.random.default_rng(2))
@@ -85,24 +98,24 @@ class TestAs1755:
 
     def test_deterministic_by_default(self):
         g1, g2 = as1755_topology(), as1755_topology()
-        assert sorted(g1.edges) == sorted(g2.edges)
-        d1 = [g1.edges[e]["delay_ms"] for e in sorted(g1.edges)]
-        d2 = [g2.edges[e]["delay_ms"] for e in sorted(g2.edges)]
+        assert sorted(g1.edges()) == sorted(g2.edges())
+        d1 = [g1.edge(*e)["delay_ms"] for e in sorted(g1.edges())]
+        d2 = [g2.edge(*e)["delay_ms"] for e in sorted(g2.edges())]
         assert d1 == d2
 
     def test_connected(self):
-        assert nx.is_connected(as1755_topology())
+        assert is_connected(as1755_topology())
 
     def test_heavy_tailed_degrees(self):
         """The synthesis must produce hub nodes (max degree >> mean degree)."""
         g = as1755_topology()
-        degrees = [d for _, d in g.degree()]
+        degrees = [g.degree(node) for node in g]
         assert max(degrees) >= 4 * (sum(degrees) / len(degrees))
 
     def test_hub_links_slower(self):
         """Links adjacent to hubs should carry larger delays (bottlenecks)."""
         g = as1755_topology()
-        degrees = dict(g.degree())
+        degrees = {node: g.degree(node) for node in g}
         max_deg = max(degrees.values())
         hub_delays = [
             d["delay_ms"]
@@ -182,8 +195,8 @@ class TestAs3967:
         from repro.mec.topology import as3967_topology
 
         g1, g2 = as3967_topology(), as3967_topology()
-        assert sorted(g1.edges) == sorted(g2.edges)
-        assert nx.is_connected(g1)
+        assert sorted(g1.edges()) == sorted(g2.edges())
+        assert is_connected(g1)
 
     def test_distinct_from_as1755(self):
         from repro.mec.topology import as1755_topology, as3967_topology
@@ -195,5 +208,5 @@ class TestAs3967:
         from repro.mec.topology import as3967_topology
 
         g = as3967_topology()
-        degrees = [d for _, d in g.degree()]
+        degrees = [g.degree(node) for node in g]
         assert max(degrees) >= 4 * (sum(degrees) / len(degrees))
