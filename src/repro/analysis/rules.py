@@ -267,7 +267,7 @@ class WallClockRule(Rule):
                     node,
                     f"{name}() reads the wall clock inside a "
                     "seed-deterministic package; thread simulated time or "
-                    "keep timing in repro.utils.timer/repro.obs",
+                    "measure runtime with time.perf_counter or repro.obs",
                 )
 
 
@@ -1017,6 +1017,7 @@ HOT_PATH_MODULES: FrozenSet[Tuple[str, ...]] = frozenset(
         ("repro", "core", "fastlp"),
         ("repro", "nn", "fused"),
         ("repro", "sim", "engine"),
+        ("repro", "sim", "step"),
     }
 )
 
@@ -1031,7 +1032,7 @@ class DtypeRequiredRule(Rule):
     rule_id = "DTYPE001"
     name = "dtype-required"
     summary = "numpy array constructors in hot-path modules need an explicit dtype"
-    paths = "src/repro/{core/assignment,core/fastlp,nn/fused,sim/engine}.py"
+    paths = "src/repro/{core/assignment,core/fastlp,nn/fused,sim/engine,sim/step}.py"
 
     #: Constructor -> positional index its dtype parameter sits at.
     _CONSTRUCTORS = {"zeros": 1, "ones": 1, "empty": 1, "full": 2, "array": 1}
@@ -1077,7 +1078,7 @@ class ImplicitFloat64Rule(Rule):
     rule_id = "DTYPE002"
     name = "implicit-float64"
     summary = "hot-path dtype= arguments must spell np.float32/np.float64"
-    paths = "src/repro/{core/assignment,core/fastlp,nn/fused,sim/engine}.py"
+    paths = "src/repro/{core/assignment,core/fastlp,nn/fused,sim/engine,sim/step}.py"
 
     _IMPLICIT_STRINGS = frozenset({"float", "float64", "double"})
 

@@ -1,9 +1,10 @@
 """Process-local metrics: counters, gauges, fixed-bucket histograms, spans.
 
 The simulator's public timing series (the paper's Fig. 3b/4b/6b curves)
-stay on :class:`repro.utils.timer.Stopwatch`; this module answers the
-*next* question — where inside a slot the time goes (LP patch vs. solve
-vs. rounding vs. repair vs. arm updates).  Design constraints:
+are the ``perf_counter`` columns of each slot record (see
+:mod:`repro.sim.step`); this module answers the *next* question — where
+inside a slot the time goes (LP patch vs. solve vs. rounding vs. repair
+vs. arm updates).  Design constraints:
 
 * **Deterministic keys.**  Metric names are plain dotted strings chosen
   at the instrumentation site; no wall-clock, PIDs or dates ever appear

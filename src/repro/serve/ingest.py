@@ -98,7 +98,7 @@ class SlotBuffer:
         with self._lock:
             return len(self._pending)
 
-    def roll(self, dtype: np.dtype = np.dtype(np.float64)) -> Tuple[np.ndarray, int, int]:
+    def roll(self) -> Tuple[np.ndarray, int, int]:
         """Close the slot: ``(demand_vector, n_offers, n_rejected)``.
 
         Aggregates the pending offers into a dense per-request demand
@@ -110,7 +110,7 @@ class SlotBuffer:
             rejected = self._slot_rejected
             self._pending = []
             self._slot_rejected = 0
-        demand = np.zeros(self.n_requests, dtype=dtype)
+        demand = np.zeros(self.n_requests, dtype=np.float64)
         for entry in pending:
             demand[entry.request] += entry.volume_mb
         return demand, len(pending), rejected

@@ -1,23 +1,29 @@
 """The long-running decision server: slot-clocked online caching control.
 
-:class:`DecisionServer` wraps one registry-constructed controller behind
-the same per-slot contract as :func:`repro.sim.run_simulation` — decide,
-evaluate, observe — but with demand arriving *over the wire* instead of
-from a simulated demand model:
+:class:`DecisionServer` runs one registry-constructed controller through
+the same per-slot step as :func:`repro.sim.run_simulation`
+(:class:`repro.sim.step.SlotStepper`: decide, evaluate, observe,
+record), with demand arriving *over the wire* instead of from a
+simulated demand model:
 
 1. clients ``offer`` demand for the open slot (bounded buffer, overflow
    rejected and counted);
 2. ``decide`` closes the slot: the buffered offers aggregate into a
-   demand vector, the controller places services, the assignment is
-   evaluated against the slot's realised delays, and the controller
-   observes the outcome;
+   demand vector (:meth:`~repro.serve.ingest.SlotBuffer.roll`), the
+   stepper runs the slot on it, and the result goes back to the client
+   as a :class:`Placement`;
 3. every ``checkpoint_every`` completed slots the whole server state
-   (controller, ingest buffer, decision trace) snapshots through
-   :mod:`repro.state`; a server constructed with ``resume=True``
-   warm-restarts from the snapshot and continues **bit-identically** —
-   the delay processes are slot-keyed counter-based draws and the
-   controller's RNG bit-state rides in its ``state_dict``, so the
-   reconstructed decision trace equals an uninterrupted run's.
+   (the stepper's state, the ingest buffer, the decision trace)
+   snapshots through :mod:`repro.state`; a server constructed with
+   ``resume=True`` warm-restarts from the snapshot and continues
+   **bit-identically** — the delay processes are slot-keyed
+   counter-based draws and the controller's RNG bit-state rides in its
+   ``state_dict``, so the reconstructed decision trace equals an
+   uninterrupted run's.
+
+Fed the demand model's own demands as offers, a server records exactly
+the series an offline run of the same world records (timing columns
+excepted); ``tests/test_serve_parity.py`` pins this.
 
 Thread model: offers may arrive from any number of protocol threads
 (:class:`~repro.serve.ingest.SlotBuffer` is internally locked); slot
@@ -32,14 +38,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.campaigns.scenario import CampaignScenario
-from repro.core.assignment import Assignment, SlotEvaluator
+from repro.core.assignment import Assignment
 from repro.serve.config import ServeConfig
 from repro.serve.ingest import SlotBuffer
 from repro.serve.lifecycle import (
@@ -51,6 +56,7 @@ from repro.serve.lifecycle import (
     LifecycleError,
 )
 from repro.sim.metrics import SimulationResult, SlotRecord
+from repro.sim.step import SlotStepper
 from repro.state import (
     SERVE_KIND,
     CheckpointError,
@@ -84,6 +90,28 @@ class Placement:
     n_offers: int
     rejected: int
     decision_seconds: float
+
+    @classmethod
+    def of(
+        cls,
+        assignment: Assignment,
+        record: SlotRecord,
+        n_offers: int,
+        rejected: int,
+    ) -> "Placement":
+        """The placement of a stepped slot: its assignment and record."""
+        return cls(
+            slot=record.slot,
+            station_of=tuple(int(s) for s in assignment.station_of),
+            cached=tuple(
+                (int(service), int(station))
+                for service, station in assignment.cached_array()
+            ),
+            delay_ms=float(record.average_delay_ms),
+            n_offers=n_offers,
+            rejected=rejected,
+            decision_seconds=record.decision_seconds,
+        )
 
     def to_json(self) -> Dict[str, Any]:
         """Plain-dict form for the JSON protocol."""
@@ -127,7 +155,6 @@ class DecisionServer:
         self._metrics: Optional[obs.MetricsRegistry] = None
         self._buffer: Optional[SlotBuffer] = None
         self._slot = 0
-        self._previous: Optional[Assignment] = None
         self._placements: List[Placement] = []
         self._restored_slots = 0
 
@@ -176,12 +203,9 @@ class DecisionServer:
             self.demand_model = demand_model
             self.controller = controllers[0]
             self.requests = self.controller.requests
-            self._evaluator = SlotEvaluator(network, self.requests)
+            self._stepper = SlotStepper(network, self.controller)
             self._buffer = SlotBuffer(
                 n_requests=len(self.requests), limit=config.buffer_limit
-            )
-            self._result = SimulationResult(
-                controller_name=self.controller.name
             )
             self._metrics = obs.active_registry() or obs.MetricsRegistry()
             snapshot = config.snapshot_path()
@@ -303,72 +327,13 @@ class DecisionServer:
                     f"slot mismatch: server clock is at {self._slot}, "
                     f"caller asked for {int(slot)}"
                 )
-            current = self._slot
             with obs.activate(self._metrics), obs.span("serve.decide"):
                 demands, n_offers, rejected = buffer.roll()
-                unit_delays = self.network.delays.sample(current)
-                started = perf_counter()
-                assignment = self.controller.decide(
-                    current, demands if self.config.demands_known else None
+                assignment, record = self._stepper.step(
+                    self._slot, demands, self.config.demands_known
                 )
-                decision_seconds = perf_counter() - started
-                delay_ms = self._evaluator.evaluate(
-                    assignment, demands, unit_delays
-                )
-                observe_started = perf_counter()
-                self.controller.observe(
-                    current, demands, unit_delays, assignment
-                )
-                observe_seconds = perf_counter() - observe_started
-                prediction_mae: Optional[float] = None
-                last_prediction = getattr(
-                    self.controller, "last_prediction", None
-                )
-                if not self.config.demands_known and last_prediction is not None:
-                    prediction_mae = float(
-                        np.mean(np.abs(last_prediction - demands))
-                    )
-                loads = self._evaluator.loads_mhz(assignment, demands)
-                churn = (
-                    assignment.cache_churn(self._previous)
-                    if self._previous is not None
-                    else 0
-                )
-                initial = (
-                    len(assignment.cached) if self._previous is None else 0
-                )
-                self._result.append(
-                    SlotRecord(
-                        slot=current,
-                        average_delay_ms=delay_ms,
-                        decision_seconds=decision_seconds,
-                        observe_seconds=observe_seconds,
-                        cache_churn=churn,
-                        n_cached_instances=len(assignment.cached),
-                        max_load_fraction=float(
-                            np.max(loads / self._evaluator.capacities_mhz)
-                        ),
-                        optimal_delay_ms=None,
-                        prediction_mae_mb=prediction_mae,
-                        initial_instantiations=initial,
-                    )
-                )
-                placement = Placement(
-                    slot=current,
-                    station_of=tuple(
-                        int(s) for s in assignment.station_of
-                    ),
-                    cached=tuple(
-                        (int(service), int(station))
-                        for service, station in assignment.cached_array()
-                    ),
-                    delay_ms=float(delay_ms),
-                    n_offers=n_offers,
-                    rejected=rejected,
-                    decision_seconds=decision_seconds,
-                )
+                placement = Placement.of(assignment, record, n_offers, rejected)
                 self._placements.append(placement)
-                self._previous = assignment
                 self._slot += 1
                 obs.inc("serve.slots")
                 obs.gauge("serve.buffer_fill", 0)
@@ -389,7 +354,7 @@ class DecisionServer:
     @property
     def result(self) -> SimulationResult:
         """The per-slot metric series (same schema as the simulation engine's)."""
-        return self._result
+        return self._stepper.result
 
     @property
     def buffer_fill(self) -> int:
@@ -440,17 +405,10 @@ class DecisionServer:
                 if self._placements
                 else np.zeros((0, len(self.requests)), dtype=np.int64)
             ).astype(np.int64)
-            previous = (
-                np.asarray(self._previous.station_of, dtype=np.int64)
-                if self._previous is not None
-                else np.full(len(self.requests), -1, dtype=np.int64)
-            )
-            state = {
-                "controller_name": self.controller.name,
-                "controller": self.controller.state_dict(),
-                "result": self._result.state_dict(),
+            state = self._stepper.state_dict()
+            del state["oracle"]  # a server computes no clairvoyant optimum
+            state.update({
                 "slot": np.int64(self._slot),
-                "previous_stations": previous,
                 "stations": stations,
                 "slot_offers": np.array(
                     [p.n_offers for p in self._placements], dtype=np.int64
@@ -462,7 +420,7 @@ class DecisionServer:
                 "pending_volumes": pending_volumes,
                 "offered_total": np.int64(buffer.offered_total),
                 "rejected_total": np.int64(buffer.rejected_total),
-            }
+            })
             with obs.activate(self._metrics):
                 with obs.span("state.save"):
                     save_checkpoint(
@@ -490,42 +448,21 @@ class DecisionServer:
                 f"{path} was written by a server with a different world "
                 f"(scenario digest mismatch); refusing to warm-restart"
             )
-        if state["controller_name"] != self.controller.name:
-            raise CheckpointError(
-                f"{path} holds a {state['controller_name']!r} run, this "
-                f"server controls {self.controller.name!r}"
-            )
-        self.controller.load_state_dict(state["controller"])
-        self._result = SimulationResult.from_state(state["result"])
+        self._stepper.load_state_dict(state)
         self._slot = int(state["slot"])
         self._restored_slots = self._slot
-        previous = np.asarray(state["previous_stations"], dtype=np.int64)
-        if self._slot > 0:
-            self._previous = Assignment.from_stations(previous, self.requests)
         stations = np.asarray(state["stations"], dtype=np.int64)
         slot_offers = np.asarray(state["slot_offers"], dtype=np.int64)
         slot_rejected = np.asarray(state["slot_rejected"], dtype=np.int64)
-        delays = self._result.delays_ms
-        decisions = [r.decision_seconds for r in self._result.records]
-        self._placements = []
-        for index in range(stations.shape[0]):
-            assignment = Assignment.from_stations(
-                stations[index], self.requests
+        self._placements = [
+            Placement.of(
+                Assignment.from_stations(stations[index], self.requests),
+                record,
+                int(slot_offers[index]),
+                int(slot_rejected[index]),
             )
-            self._placements.append(
-                Placement(
-                    slot=index,
-                    station_of=tuple(int(s) for s in stations[index]),
-                    cached=tuple(
-                        (int(service), int(station))
-                        for service, station in assignment.cached_array()
-                    ),
-                    delay_ms=float(delays[index]),
-                    n_offers=int(slot_offers[index]),
-                    rejected=int(slot_rejected[index]),
-                    decision_seconds=float(decisions[index]),
-                )
-            )
+            for index, record in enumerate(self._stepper.result.records)
+        ]
         buffer = self._buffer
         assert buffer is not None  # set by start() before _restore
         buffer.restore_pending(

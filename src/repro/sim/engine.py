@@ -1,42 +1,37 @@
-"""The time-slot simulation loop.
+"""The offline time-slot simulation loop.
 
-One slot of :func:`run_simulation`:
+:func:`run_simulation` drives one controller over a horizon.  Each slot
+is the shared per-slot cycle of :class:`repro.sim.step.SlotStepper`
+(decide, evaluate, observe, optional clairvoyant optimum, record) fed by
+the demand model: the run loop itself only
 
-1. the demand model realises `rho_l(t)` (Eq. 1);
-2. the controller decides (timed — this is the running-time series of the
-   paper's (b) sub-figures), seeing the true demands only in the
-   given-demands setting;
-3. the delay process realises `d_i(t)` and the assignment's cost is
-   evaluated (extended Eq. 3, see :mod:`repro.core.assignment`);
-4. optionally, the clairvoyant optimum of the slot is computed for regret
-   (by a :class:`~repro.core.optimal.ClairvoyantOracle` the loop holds for
-   the run, hot-started from the previous slot's LP basis);
-5. the controller observes the realised demands and the delays of the
-   stations it played.
+1. applies the slot's scheduled station outages, if any;
+2. realises `rho_l(t)` from the demand model (Eq. 1);
+3. calls :meth:`~repro.sim.step.SlotStepper.step`;
+4. writes a snapshot when the checkpoint cadence is due.
 
-The :class:`~repro.utils.timer.Stopwatch` laps remain the *public* timing
-series (the figures' runtime panels); each phase is additionally wrapped
-in a :mod:`repro.obs` span (``sim.decide``, ``sim.evaluate``,
-``sim.optimal``, ``sim.observe``) so an activated registry — or the
-``metrics`` argument — sees the per-slot decomposition.  With telemetry
-off (the default) the spans are shared no-ops.
+The stepper times ``decide`` and ``observe`` (the figures' runtime
+panels) and wraps each phase in a :mod:`repro.obs` span, so an activated
+registry, or the ``metrics`` argument, sees the per-slot decomposition.
+The decision server (:mod:`repro.serve.server`) runs the same step on
+demand aggregated from offers.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from repro import obs
-from repro.core.assignment import Assignment, SlotEvaluator
 from repro.core.controller import Controller
 from repro.core.optimal import ClairvoyantOracle
 from repro.mec.network import MECNetwork
 from repro.sim.config import RunConfig
-from repro.sim.metrics import SimulationResult, SlotRecord
+from repro.sim.metrics import SimulationResult
+from repro.sim.step import SlotStepper
 from repro.state import (
     SIMULATION_KIND,
     CheckpointConfig,
@@ -44,7 +39,6 @@ from repro.state import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.utils.timer import Stopwatch
 from repro.utils.validation import require_positive
 from repro.workload.demand import DemandModel
 
@@ -70,7 +64,6 @@ def run_simulation(
     metrics: Optional["obs.MetricsRegistry"] = None,
     config: Optional[RunConfig] = None,
     failures: Optional["FailureSchedule"] = None,
-    dtype: DTypeLike = np.float64,
 ) -> SimulationResult:
     """Run ``controller`` for ``horizon`` slots; returns the metric series.
 
@@ -105,12 +98,6 @@ def run_simulation(
     the outage) and the original capacities are restored when the run
     ends, even on error.  A full outage leaves an epsilon capacity so
     utilisation ratios stay finite.
-
-    ``dtype`` selects the working precision of the slot evaluator's
-    cached arrays (see :class:`repro.core.assignment.SlotEvaluator`);
-    ``"float32"`` halves evaluation memory traffic on 10^5-request runs,
-    while the default float64 keeps the documented bit-identical
-    semantics.
     """
     require_positive("horizon", horizon)
     if demand_model.n_requests != controller.n_requests:
@@ -119,7 +106,7 @@ def run_simulation(
             f"controller expects {controller.n_requests}"
         )
     checkpoint = config.to_checkpoint_config() if config is not None else None
-    with obs.activate(metrics) if metrics is not None else _KEEP_ACTIVE:
+    with obs.activate(metrics) if metrics is not None else nullcontext():
         return _run_loop(
             network,
             demand_model,
@@ -130,56 +117,28 @@ def run_simulation(
             exact_optimal,
             checkpoint,
             failures,
-            dtype,
         )
-
-
-class _KeepActive:
-    """No-op stand-in for ``obs.activate`` when no registry is passed."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_KEEP_ACTIVE = _KeepActive()
 
 
 def _write_snapshot(
     path: Path,
-    controller: Controller,
+    stepper: SlotStepper,
     demand_model: DemandModel,
-    result: SimulationResult,
-    previous: Assignment,
-    oracle: Optional[ClairvoyantOracle],
     demands_known: bool,
 ) -> None:
-    """Snapshot everything a resumed run needs to continue bit-identically.
-
-    The previous slot's station assignment travels too: churn is measured
-    *between* slots, so the first resumed slot needs the last executed
-    assignment to keep the churn series identical.  So does the
-    clairvoyant oracle's LP basis (None when the run computes no optimum):
-    the next optimum starts from it.
-    """
-    state = {
-        "controller_name": controller.name,
-        "controller": controller.state_dict(),
-        "demand_model": demand_model.state_dict(),
-        "result": result.state_dict(),
-        "previous_stations": np.asarray(previous.station_of, dtype=int),
-        "oracle": None if oracle is None else oracle.state_dict(),
-    }
+    """Snapshot everything a resumed run needs to continue bit-identically:
+    the stepper's state (controller, series, previous stations, oracle
+    basis) plus the demand model's identity."""
+    state = stepper.state_dict()
+    state["demand_model"] = demand_model.state_dict()
     with obs.span("state.save"):
         save_checkpoint(
             path,
             state,
             kind=SIMULATION_KIND,
             meta={
-                "controller": controller.name,
-                "slots": result.horizon,
+                "controller": stepper.controller.name,
+                "slots": stepper.result.horizon,
                 "demands_known": demands_known,
             },
         )
@@ -188,47 +147,27 @@ def _write_snapshot(
 
 def _restore_snapshot(
     path: Path,
-    controller: Controller,
+    stepper: SlotStepper,
     demand_model: DemandModel,
     horizon: int,
-    oracle: Optional[ClairvoyantOracle],
-) -> Tuple[SimulationResult, Assignment]:
-    """Load a snapshot back into ``controller`` (and ``oracle``) and
-    rebuild the series."""
+) -> None:
+    """Load a snapshot back into ``stepper`` and check it fits this run."""
     with obs.span("state.load"):
         state, _meta = load_checkpoint(path, kind=SIMULATION_KIND)
-    if state["controller_name"] != controller.name:
-        raise CheckpointError(
-            f"{path} holds a {state['controller_name']!r} run, "
-            f"this controller is {controller.name!r}"
-        )
     if "oracle" not in state:
         raise CheckpointError(
             f"{path} has no 'oracle' entry (the clairvoyant oracle's LP "
             "basis); it was written by an older version and cannot resume"
         )
-    if (state["oracle"] is None) != (oracle is None):
-        raise CheckpointError(
-            f"{path} was written with compute_optimal="
-            f"{state['oracle'] is not None}, this run has "
-            f"compute_optimal={oracle is not None}"
-        )
     # Verifies the resumed world realises the same demand trajectory.
     demand_model.load_state_dict(state["demand_model"])
-    result = SimulationResult.from_state(state["result"])
-    if result.horizon >= horizon:
+    stepper.load_state_dict(state)
+    if stepper.result.horizon >= horizon:
         raise CheckpointError(
-            f"{path} already covers {result.horizon} slots; resuming needs "
-            f"a horizon beyond that, got {horizon}"
+            f"{path} already covers {stepper.result.horizon} slots; resuming "
+            f"needs a horizon beyond that, got {horizon}"
         )
-    controller.load_state_dict(state["controller"])
-    if oracle is not None:
-        oracle.load_state_dict(state["oracle"])
-    previous = Assignment.from_stations(
-        np.asarray(state["previous_stations"], dtype=int), controller.requests
-    )
     obs.inc("state.load")
-    return result, previous
 
 
 def _run_loop(
@@ -241,18 +180,15 @@ def _run_loop(
     exact_optimal: bool,
     checkpoint: Optional[CheckpointConfig],
     failures: Optional["FailureSchedule"],
-    dtype: DTypeLike,
 ) -> SimulationResult:
-    requests = controller.requests
-    result = SimulationResult(controller_name=controller.name)
-    previous: Optional[Assignment] = None
-    snapshot_path = (
-        checkpoint.path_for(controller.name) if checkpoint is not None else None
-    )
     oracle = (
-        ClairvoyantOracle(network, requests, exact=exact_optimal)
+        ClairvoyantOracle(network, controller.requests, exact=exact_optimal)
         if compute_optimal
         else None
+    )
+    stepper = SlotStepper(network, controller, oracle)
+    snapshot_path = (
+        checkpoint.path_for(controller.name) if checkpoint is not None else None
     )
     if (
         checkpoint is not None
@@ -260,12 +196,7 @@ def _run_loop(
         and snapshot_path is not None
         and snapshot_path.exists()
     ):
-        result, previous = _restore_snapshot(
-            snapshot_path, controller, demand_model, horizon, oracle
-        )
-    decide_watch = Stopwatch()
-    observe_watch = Stopwatch()
-    evaluator = SlotEvaluator(network, requests, dtype=dtype)
+        _restore_snapshot(snapshot_path, stepper, demand_model, horizon)
     original_capacities = (
         [bs.capacity_mhz for bs in network.stations]
         if failures is not None
@@ -275,7 +206,7 @@ def _run_loop(
     obs.set_context(controller=controller.name)
 
     try:
-        for slot in range(result.horizon, horizon):
+        for slot in range(stepper.result.horizon, horizon):
             obs.set_context(slot=slot)
             if failures is not None and original_capacities is not None:
                 factors = failures.capacity_factors(network.n_stations, slot)
@@ -290,73 +221,19 @@ def _run_loop(
                             original_capacities[index] * float(factors[index]),
                             _OUTAGE_EPSILON_MHZ,
                         )
-                    evaluator.refresh_capacities()
+                    stepper.evaluator.refresh_capacities()
                     applied_factors = factors
-            true_demands = demand_model.demand_at(slot)
-
-            with decide_watch, obs.span("sim.decide"):
-                assignment = controller.decide(
-                    slot, true_demands if demands_known else None
-                )
-
-            with obs.span("sim.evaluate"):
-                unit_delays = network.delays.sample(slot)
-                delay_ms = evaluator.evaluate(
-                    assignment, true_demands, unit_delays
-                )
-
-            prediction_mae: Optional[float] = None
-            last_prediction = getattr(controller, "last_prediction", None)
-            if not demands_known and last_prediction is not None:
-                prediction_mae = float(
-                    np.mean(np.abs(last_prediction - true_demands))
-                )
-
-            with observe_watch, obs.span("sim.observe"):
-                controller.observe(slot, true_demands, unit_delays, assignment)
-
-            # The clairvoyant optimum reads nothing observe writes; it runs
-            # after the controller's own decide -> evaluate -> observe step.
-            optimal_ms: Optional[float] = None
-            if oracle is not None:
-                with obs.span("sim.optimal"):
-                    optimal_ms = oracle.cost(true_demands, unit_delays)
-
-            loads = evaluator.loads_mhz(assignment, true_demands)
-            # Churn is change *between* slots; slot 0's cold-start placement
-            # is accounted separately so total_churn no longer absorbs it.
-            churn = assignment.cache_churn(previous) if previous is not None else 0
-            initial = len(assignment.cached) if previous is None else 0
+            stepper.step(slot, demand_model.demand_at(slot), demands_known)
             obs.inc("sim.slots")
-            result.append(
-                SlotRecord(
-                    slot=slot,
-                    average_delay_ms=delay_ms,
-                    decision_seconds=decide_watch.laps[-1],
-                    observe_seconds=observe_watch.laps[-1],
-                    cache_churn=churn,
-                    n_cached_instances=len(assignment.cached),
-                    max_load_fraction=float(
-                        np.max(loads / evaluator.capacities_mhz)
-                    ),
-                    optimal_delay_ms=optimal_ms,
-                    prediction_mae_mb=prediction_mae,
-                    initial_instantiations=initial,
-                )
-            )
-            previous = assignment
             if (
                 checkpoint is not None
                 and snapshot_path is not None
-                and checkpoint.due(result.horizon)
+                and checkpoint.due(stepper.result.horizon)
             ):
-                _write_snapshot(
-                    snapshot_path, controller, demand_model, result, previous,
-                    oracle, demands_known,
-                )
+                _write_snapshot(snapshot_path, stepper, demand_model, demands_known)
     finally:
         if failures is not None and original_capacities is not None:
             for index, bs in enumerate(network.stations):
                 bs.capacity_mhz = original_capacities[index]
     obs.set_context(slot=None, controller=None)
-    return result
+    return stepper.result

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from repro import obs
 from repro.core.controller import Controller
@@ -129,7 +128,6 @@ def run_with_failures(
     exact_optimal: bool = False,
     metrics: Optional["obs.MetricsRegistry"] = None,
     config: Optional[RunConfig] = None,
-    dtype: DTypeLike = np.float64,
 ) -> SimulationResult:
     """Like :func:`repro.sim.run_simulation`, with per-slot failures applied.
 
@@ -141,8 +139,7 @@ def run_with_failures(
 
     Delegates to the shared :func:`repro.sim.run_simulation` loop, so
     every engine feature — obs spans, ``compute_optimal``, prediction-MAE
-    tracking, checkpoint/resume via ``config``, the ``dtype`` knob —
-    works under failures too.
+    tracking, checkpoint/resume via ``config`` — works under failures too.
     """
     return run_simulation(
         network,
@@ -155,5 +152,4 @@ def run_with_failures(
         metrics=metrics,
         config=config,
         failures=failures,
-        dtype=dtype,
     )

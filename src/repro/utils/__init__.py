@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG streams, validation, timing, units.
+"""Shared utilities: deterministic RNG streams, validation, units.
 
 Every stochastic component of the reproduction draws from a named stream
 forked from a single experiment seed (see :class:`RngRegistry`), which is
@@ -6,7 +6,6 @@ what makes the figures exactly reproducible run-to-run.
 """
 
 from repro.utils.seeding import RngRegistry, fork_rng, spawn_seeds
-from repro.utils.timer import Stopwatch
 from repro.utils.units import (
     GHZ_PER_MHZ,
     MS_PER_SECOND,
@@ -26,7 +25,6 @@ __all__ = [
     "RngRegistry",
     "fork_rng",
     "spawn_seeds",
-    "Stopwatch",
     "GHZ_PER_MHZ",
     "MS_PER_SECOND",
     "mbps_to_mb_per_ms",

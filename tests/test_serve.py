@@ -11,12 +11,14 @@ and the telemetry contract (every emitted series is in the
 ``repro.obs.names`` catalogue).
 """
 
+import functools
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import controller_names
 from repro.serve import (
     DRAINING,
     NEW,
@@ -53,6 +55,22 @@ def tiny_config(**overrides) -> ServeConfig:
     return ServeConfig(**fields)
 
 
+#: The §V predictive controllers forecast demand themselves, so they are
+#: served with ``demands_known=False``; OL_GAN runs a tiny GAN.
+PREDICTIVE = {"OL_GAN", "OL_Reg"}
+GAN_OPTIONS = {"n_hotspots": TINY["n_hotspots"], "window": 3, "hidden_size": 4}
+
+
+def controller_config(name, **overrides) -> ServeConfig:
+    """:func:`tiny_config` serving controller ``name``."""
+    return tiny_config(
+        controller=name,
+        demands_known=name not in PREDICTIVE,
+        controller_options=GAN_OPTIONS if name == "OL_GAN" else {},
+        **overrides,
+    )
+
+
 def offers_for(slot):
     """Deterministic per-slot offer stream (slot-keyed, so replayable)."""
     rng = np.random.default_rng(1000 + slot)
@@ -70,6 +88,36 @@ def drive(server, slots):
             assert server.offer(request, volume)
         placements.append(server.decide(slot))
     return placements
+
+
+def record_lp_solutions(server):
+    """Collect the LP x-matrix of every ``decide`` call, in order; None
+    for a controller without an LP."""
+    solutions = []
+    controller = server.controller
+    learner = getattr(controller, "inner", controller)
+    if not hasattr(learner, "last_fractional"):
+        return None
+    decide = controller.decide
+
+    def recorded(slot, demands):
+        assignment = decide(slot, demands)
+        solutions.append(learner.last_fractional.copy())
+        return assignment
+
+    controller.decide = recorded
+    return solutions
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_serve(name):
+    """One uninterrupted server's trace keys and LP solutions."""
+    reference = DecisionServer(controller_config(name))
+    reference.start()
+    solutions = record_lp_solutions(reference)
+    placements = drive(reference, range(HORIZON))
+    reference.stop()
+    return [p.trace_key() for p in placements], solutions
 
 
 class TestSlotBuffer:
@@ -364,32 +412,26 @@ class TestWarmRestart:
         assert resumed[0].n_offers == len(pending)
         second.stop()
 
-    @pytest.mark.parametrize("cut", range(1, HORIZON))
-    def test_restart_at_every_slot_keeps_the_lp_hot_start(self, tmp_path, cut):
-        """A restart at any slot boundary resumes OL_GD's LP from the
-        checkpointed basis: every later x matches the uninterrupted
-        server's (a cold restart lands elsewhere in this world)."""
-
-        def record_lp_solutions(server):
-            solutions = []
-            controller = server.controller
-            decide = controller.decide
-
-            def recorded(slot, demands):
-                assignment = decide(slot, demands)
-                solutions.append(controller.last_fractional.copy())
-                return assignment
-
-            controller.decide = recorded
-            return solutions
-
-        reference = DecisionServer(tiny_config())
-        reference.start()
-        full_solutions = record_lp_solutions(reference)
-        full = drive(reference, range(HORIZON))
-        reference.stop()
-
-        config = tiny_config(checkpoint_dir=tmp_path, resume=True)
+    @pytest.mark.parametrize(
+        "name, cut",
+        [
+            # OL_GD, the default controller, keeps the bare cut as its id.
+            pytest.param(
+                name, cut, id=str(cut) if name == "OL_GD" else f"{name}-{cut}"
+            )
+            for name in controller_names()
+            for cut in range(1, HORIZON)
+        ],
+    )
+    def test_restart_at_every_slot_keeps_the_lp_hot_start(
+        self, tmp_path, name, cut
+    ):
+        """A restart at any slot boundary continues every controller
+        bit-identically; the LP learners resume from the checkpointed
+        basis, so every later x matches the uninterrupted server's (a
+        cold restart lands elsewhere in this world)."""
+        full, full_solutions = uninterrupted_serve(name)
+        config = controller_config(name, checkpoint_dir=tmp_path, resume=True)
         first = DecisionServer(config)
         first.start()
         drive(first, range(cut))
@@ -400,14 +442,13 @@ class TestWarmRestart:
         assert second.slot == cut
         solutions = record_lp_solutions(second)
         drive(second, range(cut, HORIZON))
-        assert len(solutions) == HORIZON - cut
-        for slot, (x, expected) in enumerate(
-            zip(solutions, full_solutions[cut:], strict=True), start=cut
-        ):
-            np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
-        assert [p.trace_key() for p in second.placement_history()] == [
-            p.trace_key() for p in full
-        ]
+        if solutions is not None:
+            assert len(solutions) == HORIZON - cut
+            for slot, (x, expected) in enumerate(
+                zip(solutions, full_solutions[cut:], strict=True), start=cut
+            ):
+                np.testing.assert_array_equal(x, expected, err_msg=f"slot {slot}")
+        assert [p.trace_key() for p in second.placement_history()] == full
         second.stop()
 
     def test_periodic_checkpoint_cadence(self, tmp_path):

@@ -31,7 +31,7 @@ from repro.utils.seeding import RngRegistry
 from repro.workload import BurstyDemandModel, ConstantDemandModel
 
 HORIZON = 8
-CUT = 4  # interrupt after this many slots (= snapshot cadence)
+CUT = 4  # default interruption point (= snapshot cadence)
 
 #: Tiny configurations so the full registry — including the GAN — runs in
 #: test time.  Keys missing here construct with library defaults.
@@ -95,6 +95,25 @@ def record_lp_solutions(controller):
     return solutions
 
 
+def every_cut(names):
+    """``(name, cut)`` for each controller and each slot boundary; the
+    case at :data:`CUT` keeps the bare controller name as its id."""
+    return [
+        pytest.param(name, cut, id=name if cut == CUT else f"{name}-cut{cut}")
+        for name in names
+        for cut in range(1, HORIZON)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_run(name):
+    network, model, controller = build_world(11, name)
+    return run_simulation(
+        network, model, controller, horizon=HORIZON,
+        demands_known=name not in PREDICTIVE,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def uninterrupted_lp_run(name):
     network, model, controller = build_lp_world(name)
@@ -119,22 +138,19 @@ def optimum_series(result):
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("name", controller_names())
-    def test_resume_equals_uninterrupted_run(self, name, tmp_path):
+    @pytest.mark.parametrize("name, cut", every_cut(controller_names()))
+    def test_resume_equals_uninterrupted_run(self, name, cut, tmp_path):
         known = name not in PREDICTIVE
-        network, model, controller = build_world(11, name)
-        full = run_simulation(
-            network, model, controller, horizon=HORIZON, demands_known=known
-        )
+        full = uninterrupted_run(name)
 
-        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=CUT, resume=True)
+        config = RunConfig(checkpoint_dir=tmp_path, checkpoint_every=cut, resume=True)
         network, model, controller = build_world(11, name)
         partial = run_simulation(
-            network, model, controller, horizon=CUT,
+            network, model, controller, horizon=cut,
             demands_known=known, config=config,
         )
         assert config.to_checkpoint_config().path_for(controller.name).exists()
-        np.testing.assert_array_equal(partial.delays_ms, full.delays_ms[:CUT])
+        np.testing.assert_array_equal(partial.delays_ms, full.delays_ms[:cut])
 
         network, model, controller = build_world(11, name)
         resumed = run_simulation(

@@ -1,9 +1,8 @@
-"""Tests for unit conversions and the Stopwatch."""
+"""Tests for unit conversions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.timer import Stopwatch
 from repro.utils.units import (
     mbps_to_mb_per_ms,
     mhz_to_ghz,
@@ -35,72 +34,3 @@ class TestUnits:
     @given(st.floats(min_value=0, max_value=1e9, allow_nan=False))
     def test_round_trip_property(self, seconds):
         assert ms_to_seconds(seconds_to_ms(seconds)) == pytest.approx(seconds)
-
-
-class TestStopwatch:
-    def test_lap_records_positive_duration(self):
-        watch = Stopwatch()
-        watch.start()
-        duration = watch.stop()
-        assert duration >= 0.0
-        assert watch.laps == [duration]
-
-    def test_context_manager(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        assert len(watch.laps) == 1
-
-    def test_total_and_mean(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            with watch:
-                pass
-        assert watch.total_seconds == pytest.approx(sum(watch.laps))
-        assert watch.mean_seconds == pytest.approx(watch.total_seconds / 3)
-
-    def test_mean_of_empty_is_zero(self):
-        assert Stopwatch().mean_seconds == 0.0
-
-    def test_double_start_raises(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError, match="already running"):
-            watch.start()
-        # The failed start must not clobber the running lap.
-        assert watch.stop() >= 0.0
-        assert len(watch.laps) == 1
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError, match="not started"):
-            Stopwatch().stop()
-
-    def test_double_stop_raises(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        with pytest.raises(RuntimeError, match="not started"):
-            watch.stop()
-
-    def test_exception_inside_context_still_records_lap(self):
-        watch = Stopwatch()
-        with pytest.raises(ValueError):
-            with watch:
-                raise ValueError("boom")
-        # __exit__ stopped the lap, so the watch is reusable immediately.
-        assert len(watch.laps) == 1
-        with watch:
-            pass
-        assert len(watch.laps) == 2
-
-    def test_reset_clears_everything(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        watch.start()
-        watch.reset()
-        assert watch.laps == []
-        # After reset the watch can start cleanly again.
-        watch.start()
-        watch.stop()
-        assert len(watch.laps) == 1
