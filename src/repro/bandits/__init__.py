@@ -5,15 +5,13 @@ Paper §IV treats every base station as a bandit arm whose random process
 a request there) reveals `d_i(t)` and updates the running mean `theta_i`.
 This package holds the generic bandit machinery: :class:`ArmStats` is the
 state shared with the LP-guided controller (Algorithm 1), and the classic
-policies (epsilon-greedy, UCB1, Thompson sampling) serve as ablation
+policies (UCB1, Thompson sampling) serve as ablation
 baselines beyond the paper.
 """
 
 from repro.bandits.arms import ArmStats
 from repro.bandits.policies import (
     BanditPolicy,
-    ConstantEpsilonGreedy,
-    DecayingEpsilonGreedy,
     ThompsonSampling,
     Ucb1,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "ArmStats",
     "WindowedArmStats",
     "BanditPolicy",
-    "ConstantEpsilonGreedy",
-    "DecayingEpsilonGreedy",
     "ThompsonSampling",
     "Ucb1",
     "RegretTracker",

@@ -1,11 +1,9 @@
 """Classic bandit policies over :class:`ArmStats` (cost-minimisation form).
 
 These are the generic exploration strategies.  Algorithm 1's LP-guided
-selection lives in :mod:`repro.core.ol_gd`; the policies here are used for
-
-* the exploration schedule (constant ``eps_t = 1/4`` from Algorithm 1
-  line 2, and the decaying ``c/t`` schedule from the Theorem 1 analysis);
-* ablation baselines (UCB1, Thompson) that pick stations *without* the LP.
+selection (with its epsilon-greedy exploration) lives in
+:mod:`repro.core.ol_gd`; the policies here are ablation baselines (UCB1,
+Thompson) that pick stations *without* the LP.
 
 All policies minimise: the "best" arm is the one with the smallest mean
 cost (delay), so UCB becomes LCB etc.
@@ -19,12 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.bandits.arms import ArmStats
-from repro.utils.validation import require_positive, require_probability
+from repro.utils.validation import require_positive
 
 __all__ = [
     "BanditPolicy",
-    "ConstantEpsilonGreedy",
-    "DecayingEpsilonGreedy",
     "Ucb1",
     "ThompsonSampling",
 ]
@@ -55,59 +51,6 @@ class BanditPolicy(abc.ABC):
                 f"allowed arms must be within [0, {stats.n_arms}), got {indices}"
             )
         return indices
-
-
-class _EpsilonGreedyBase(BanditPolicy):
-    """Shared explore/exploit skeleton: exploit argmin-mean, explore uniform."""
-
-    def _epsilon(self, t: int) -> float:
-        raise NotImplementedError
-
-    def select(
-        self,
-        stats: ArmStats,
-        t: int,
-        rng: np.random.Generator,
-        allowed: Optional[Sequence[int]] = None,
-    ) -> int:
-        require_positive("t", t)
-        indices = self._allowed_indices(stats, allowed)
-        # Play any never-played allowed arm first so means are defined.
-        unplayed = [i for i in indices if stats.counts[i] == 0]
-        if unplayed:
-            return int(rng.choice(unplayed))
-        if rng.uniform() < self._epsilon(t):
-            return int(rng.choice(indices))
-        means = stats.means[indices]
-        return int(indices[int(np.argmin(means))])
-
-
-class ConstantEpsilonGreedy(_EpsilonGreedyBase):
-    """Explore with a fixed probability (Algorithm 1 uses ``eps_t = 1/4``)."""
-
-    def __init__(self, epsilon: float = 0.25):
-        require_probability("epsilon", epsilon)
-        self._eps = float(epsilon)
-
-    def _epsilon(self, t: int) -> float:
-        return self._eps
-
-
-class DecayingEpsilonGreedy(_EpsilonGreedyBase):
-    """Explore with probability ``min(1, c/t)`` (Theorem 1 analysis, 0 < c < 1)."""
-
-    def __init__(self, c: float = 0.5):
-        require_probability("c", c)
-        if c == 0.0:
-            raise ValueError("c must be strictly positive (0 < c < 1)")
-        self._c = float(c)
-
-    def _epsilon(self, t: int) -> float:
-        return min(1.0, self._c / t)
-
-    @property
-    def c(self) -> float:
-        return self._c
 
 
 class Ucb1(BanditPolicy):

@@ -17,7 +17,6 @@ from repro.core.assignment import (
     Assignment,
     SlotEvaluator,
     evaluate_assignment,
-    evaluate_with_transport,
     service_indices,
 )
 from repro.core.candidates import (
@@ -34,7 +33,6 @@ from repro.core.ol_gd import ExplorationConfig, OlGdController
 from repro.core.ol_reg import OlRegController
 from repro.core.optimal import clairvoyant_cost, clairvoyant_cost_exact, static_hindsight_cost
 from repro.core.priority import PriorityController
-from repro.core.queueing import evaluate_mm1, mm1_factor
 from repro.core.registry import (
     CONTROLLERS,
     ControllerFactory,
@@ -50,7 +48,6 @@ __all__ = [
     "Assignment",
     "SlotEvaluator",
     "evaluate_assignment",
-    "evaluate_with_transport",
     "service_indices",
     "HysteresisController",
     "evaluate_with_churn",
@@ -75,8 +72,6 @@ __all__ = [
     "make_controller",
     "CONTROLLERS",
     "register_controller",
-    "evaluate_mm1",
-    "mm1_factor",
     "lemma1_gap",
     "theorem1_regret_bound",
 ]

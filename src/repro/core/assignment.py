@@ -274,48 +274,3 @@ def evaluate_assignment(
     return SlotEvaluator(network, requests).evaluate(
         assignment, demands_mb, unit_delays_ms
     )
-
-
-def evaluate_with_transport(
-    assignment: Assignment,
-    network: MECNetwork,
-    requests: Sequence[Request],
-    demands_mb: np.ndarray,
-    unit_delays_ms: np.ndarray,
-    paths: "BackhaulPaths",
-) -> float:
-    """Extended cost: Eq. (3) plus radio access and backhaul transfer.
-
-    For each request, adds the wireless transmission delay to its access
-    station (best covering server, paper Fig. 1's access link) and the
-    backhaul transfer from the access station to the *serving* station
-    when they differ (§III-C's "its data can be transferred to its
-    service").  This is the transport-aware extension; the paper's
-    headline results use :func:`evaluate_assignment`.
-    """
-    from repro.mec.paths import access_station
-    from repro.mec.radio import transmission_delay_ms
-
-    base = evaluate_assignment(
-        assignment, network, requests, demands_mb, unit_delays_ms
-    )
-    demands_mb = np.asarray(demands_mb, dtype=np.float64)
-    transport_total = 0.0
-    for l, request in enumerate(requests):
-        access = access_station(network, request.location)
-        serving = int(assignment.station_of[l])
-        station = network.stations[access]
-        distance = station.position.distance_to(request.location)
-        try:
-            transport_total += transmission_delay_ms(
-                station.radio, distance, demands_mb[l]
-            )
-        except ValueError:
-            # Out of decodable range of even the nearest station: charge
-            # the worst-case macro edge rate instead of failing the slot.
-            macro = network.stations[access]
-            transport_total += transmission_delay_ms(
-                macro.radio, macro.radius_m, demands_mb[l]
-            )
-        transport_total += paths.transfer_delay_ms(access, serving, demands_mb[l])
-    return base + transport_total / len(requests)

@@ -15,7 +15,7 @@ from repro.experiments.figures import (
     figure7,
 )
 from repro.experiments.export import figure_to_csv, figure_to_dict, figure_to_json
-from repro.experiments.plots import ascii_chart, render_figure_plots, sparkline
+from repro.experiments.plots import render_figure_plots, sparkline
 from repro.experiments.tables import render_series_table
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "figure_to_csv",
     "figure_to_dict",
     "figure_to_json",
-    "ascii_chart",
     "render_figure_plots",
     "sparkline",
 ]

@@ -1,4 +1,4 @@
-"""Terminal plots: Unicode sparklines and axis charts for figure results.
+"""Terminal plots: Unicode sparklines for figure results.
 
 The library deliberately has no plotting dependency; these renderers give
 the CLI and examples a readable visual of every reproduced series using
@@ -7,13 +7,13 @@ only text.  (`figure_to_csv` exports feed real plotting tools.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.figures import FigureResult
 
-__all__ = ["sparkline", "ascii_chart", "render_figure_plots"]
+__all__ = ["sparkline", "render_figure_plots"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -50,62 +50,6 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
             index = int(round((value - low) / span * (len(_BLOCKS) - 1)))
             chars.append(_BLOCKS[index])
     return "".join(chars)
-
-
-def ascii_chart(
-    series: Dict[str, Sequence[float]],
-    width: int = 60,
-    height: int = 12,
-) -> str:
-    """A multi-series scatter chart in plain text.
-
-    Each series gets a marker (its name's first letter, upper-cased, with
-    collisions resolved by digits); the y-axis is annotated with min/max.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    if width <= 0 or height <= 1:
-        raise ValueError("width must be > 0 and height > 1")
-    all_values = np.concatenate(
-        [np.asarray(list(v), dtype=float) for v in series.values()]
-    )
-    finite = all_values[np.isfinite(all_values)]
-    if finite.size == 0:
-        raise ValueError("no finite values to chart")
-    low, high = float(finite.min()), float(finite.max())
-    span = high - low or 1.0
-
-    markers: Dict[str, str] = {}
-    used: set = set()
-    for position, name in enumerate(sorted(series)):
-        marker = name[0].upper()
-        if marker in used:
-            marker = str(position % 10)
-        used.add(marker)
-        markers[name] = marker
-
-    grid = [[" "] * width for _ in range(height)]
-    for name, values in series.items():
-        data = np.asarray(list(values), dtype=float)
-        n = data.size
-        for column in range(width):
-            index = min(int(column / width * n), n - 1)
-            value = data[index]
-            if not np.isfinite(value):
-                continue
-            row = int(round((value - low) / span * (height - 1)))
-            grid[height - 1 - row][column] = markers[name]
-
-    lines = []
-    for row_index, row in enumerate(grid):
-        label = f"{high:9.2f} |" if row_index == 0 else (
-            f"{low:9.2f} |" if row_index == height - 1 else " " * 10 + "|"
-        )
-        lines.append(label + "".join(row))
-    legend = "  ".join(f"{marker}={name}" for name, marker in markers.items())
-    lines.append(" " * 10 + "+" + "-" * width)
-    lines.append(" " * 11 + legend)
-    return "\n".join(lines)
 
 
 def render_figure_plots(figure: FigureResult, width: int = 60) -> str:

@@ -16,11 +16,7 @@ Architecture (Fig. 2):
 """
 
 from repro.gan.discriminator import Discriminator
-from repro.gan.evaluation import (
-    autocorrelation_gap,
-    latent_recovery_accuracy,
-    marginal_ks_statistic,
-)
+from repro.gan.evaluation import latent_recovery_accuracy
 from repro.gan.generator import Generator
 from repro.gan.infogan import GanLosses, InfoRnnGan
 from repro.gan.predictor import GanDemandPredictor
@@ -28,9 +24,7 @@ from repro.gan.qhead import QHead
 
 __all__ = [
     "Discriminator",
-    "autocorrelation_gap",
     "latent_recovery_accuracy",
-    "marginal_ks_statistic",
     "Generator",
     "GanLosses",
     "InfoRnnGan",

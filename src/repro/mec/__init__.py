@@ -1,4 +1,4 @@
-"""MEC network substrate: topology, base stations, radio, services, delays.
+"""MEC network substrate: topology, base stations, services, delays.
 
 This package models the 5G heterogeneous MEC network `G = (BS, E)` of paper
 §III-A: a set of macro / micro / femto base stations, each attached to a
@@ -12,7 +12,6 @@ from repro.mec.delay import DelayObservation, DelayProcess, UniformTierDelay, Dr
 from repro.mec.geometry import Point, distance, points_within
 from repro.mec.datacenter import RemoteDataCenter, cloud_only_delay_ms
 from repro.mec.network import MECNetwork
-from repro.mec.paths import BackhaulPaths, access_station
 from repro.mec.registry import (
     TOPOLOGIES,
     TopologyFactory,
@@ -20,14 +19,11 @@ from repro.mec.registry import (
     register_topology,
     topology_names,
 )
-from repro.mec.radio import RadioConfig, path_loss_db, receive_power_w, link_rate_mbps
 from repro.mec.requests import Request
 from repro.mec.services import Service, ServiceCatalog
 from repro.mec.topology import (
     as1755_topology,
-    as3967_topology,
     gtitm_topology,
-    transit_stub_topology,
     place_base_stations,
 )
 
@@ -46,12 +42,6 @@ __all__ = [
     "MECNetwork",
     "RemoteDataCenter",
     "cloud_only_delay_ms",
-    "BackhaulPaths",
-    "access_station",
-    "RadioConfig",
-    "path_loss_db",
-    "receive_power_w",
-    "link_rate_mbps",
     "Request",
     "Service",
     "ServiceCatalog",
@@ -61,8 +51,6 @@ __all__ = [
     "register_topology",
     "topology_names",
     "as1755_topology",
-    "as3967_topology",
     "gtitm_topology",
-    "transit_stub_topology",
     "place_base_stations",
 ]

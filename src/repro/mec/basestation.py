@@ -1,9 +1,9 @@
 """Base stations and the three 5G tiers of paper §VI-A.
 
 Each base station `bs_i` carries a cloudlet with computing capacity
-`C(bs_i)` (MHz), a coverage radius, a radio configuration, and a
-per-tier band for the mean unit-data processing delay used to parameterise
-its delay process `d_i(t)`:
+`C(bs_i)` (MHz), a coverage radius, and a per-tier band for the mean
+unit-data processing delay used to parameterise its delay process
+`d_i(t)`:
 
 ===========  ============  ==============  ===========  ==================
 tier         capacity MHz  bandwidth Mbps  radius m     mean delay band ms
@@ -20,13 +20,12 @@ FEMTO        1000-2000     1000-2000 (*)   15           5-10
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.mec.geometry import Point
-from repro.mec.radio import RadioConfig
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = ["BaseStationTier", "TierProfile", "TIER_PROFILES", "BaseStation"]
@@ -48,7 +47,6 @@ class TierProfile:
     capacity_mhz: Tuple[float, float]
     bandwidth_mbps: Tuple[float, float]
     radius_m: float
-    transmit_power_w: float
     unit_delay_ms: Tuple[float, float]
 
     def sample_capacity(self, rng: np.random.Generator) -> float:
@@ -68,7 +66,6 @@ TIER_PROFILES: Dict[BaseStationTier, TierProfile] = {
         capacity_mhz=(8000.0, 16000.0),
         bandwidth_mbps=(500.0, 1000.0),
         radius_m=100.0,
-        transmit_power_w=40.0,
         unit_delay_ms=(30.0, 50.0),
     ),
     BaseStationTier.MICRO: TierProfile(
@@ -76,7 +73,6 @@ TIER_PROFILES: Dict[BaseStationTier, TierProfile] = {
         capacity_mhz=(5000.0, 10000.0),
         bandwidth_mbps=(200.0, 500.0),
         radius_m=30.0,
-        transmit_power_w=5.0,
         unit_delay_ms=(10.0, 20.0),
     ),
     BaseStationTier.FEMTO: TierProfile(
@@ -84,7 +80,6 @@ TIER_PROFILES: Dict[BaseStationTier, TierProfile] = {
         capacity_mhz=(1000.0, 2000.0),
         bandwidth_mbps=(1000.0, 2000.0),
         radius_m=15.0,
-        transmit_power_w=0.1,
         unit_delay_ms=(5.0, 10.0),
     ),
 }
@@ -107,9 +102,6 @@ class BaseStation:
         Cloudlet computing capacity `C(bs_i)`.
     bandwidth_mbps:
         Backhaul/radio bandwidth capacity.
-    cached_services:
-        Indices of services with a live instance on this station.  Managed
-        by the controllers; exposed here so churn can be measured.
     """
 
     index: int
@@ -117,7 +109,6 @@ class BaseStation:
     position: Point
     capacity_mhz: float
     bandwidth_mbps: float
-    cached_services: Set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         require_non_negative("index", self.index)
@@ -134,29 +125,6 @@ class BaseStation:
         """Coverage radius in metres."""
         return self.profile.radius_m
 
-    @property
-    def radio(self) -> RadioConfig:
-        """Radio configuration derived from the tier."""
-        return RadioConfig(transmit_power_w=self.profile.transmit_power_w)
-
     def covers(self, point: Point) -> bool:
         """True when ``point`` lies within this station's coverage disk."""
         return self.position.distance_to(point) <= self.radius_m
-
-    def has_service(self, service_index: int) -> bool:
-        """True when an instance of the service is cached here."""
-        return service_index in self.cached_services
-
-    def cache_service(self, service_index: int) -> bool:
-        """Cache an instance; returns True when it was newly instantiated."""
-        if service_index in self.cached_services:
-            return False
-        self.cached_services.add(service_index)
-        return True
-
-    def evict_service(self, service_index: int) -> bool:
-        """Remove a cached instance; returns True when one was present."""
-        if service_index in self.cached_services:
-            self.cached_services.remove(service_index)
-            return True
-        return False

@@ -11,8 +11,6 @@ same world it built when the repo used networkx:
 * :func:`connected_components` is networkx's level-by-level BFS, with the
   same set-insertion order and the same early exit; restricted to a node
   subset, it visits nodes in the order a networkx subgraph view does;
-* :func:`single_source_dijkstra` uses the same heap counter tie-break and
-  rebuilds paths from each node's last improving predecessor;
 * :func:`barabasi_albert_tree` draws from ``random.Random(seed)`` over
   networkx's star start graph and its repeated-node list.
 
@@ -22,26 +20,18 @@ same world it built when the repo used networkx:
 
 from __future__ import annotations
 
-import itertools
-from heapq import heappop, heappush
 # repro: allow[DET003] -- a local Random(seed) instance, never the global one; it reproduces networkx's preferential-attachment draws
 from random import Random
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Optional, Set
 
 __all__ = [
     "Graph",
-    "NoPath",
     "barabasi_albert_tree",
     "connected_components",
     "is_connected",
-    "single_source_dijkstra",
 ]
 
 Attributes = Dict[str, float]
-
-
-class NoPath(Exception):
-    """No path joins the two nodes."""
 
 
 class Graph:
@@ -162,40 +152,6 @@ def is_connected(graph: Graph) -> bool:
     if not len(graph):
         raise ValueError("connectivity is undefined for the empty graph")
     return len(next(connected_components(graph))) == len(graph)
-
-
-def single_source_dijkstra(
-    graph: Graph, source: int, weight: str
-) -> Tuple[Dict[int, float], Dict[int, List[int]]]:
-    """Shortest distances and paths from ``source`` by edge attribute ``weight``.
-
-    Distances are keyed in settling order; an edge without ``weight``
-    costs 1.
-    """
-    adj = graph._adj
-    dist: Dict[int, float] = {}
-    tentative: Dict[int, float] = {source: 0}
-    predecessor: Dict[int, int] = {}
-    counter = itertools.count()
-    fringe: List[Tuple[float, int, int]] = [(0, next(counter), source)]
-    while fringe:
-        dist_v, _, v = heappop(fringe)
-        if v in dist:
-            continue
-        dist[v] = dist_v
-        for u, attributes in adj[v].items():
-            dist_u = dist_v + attributes.get(weight, 1)
-            if u in dist:
-                if dist_u < dist[u]:
-                    raise ValueError("contradictory paths found: negative weights?")
-            elif u not in tentative or dist_u < tentative[u]:
-                tentative[u] = dist_u
-                heappush(fringe, (dist_u, next(counter), u))
-                predecessor[u] = v
-    paths = {source: [source]}
-    for v in itertools.islice(dist, 1, None):
-        paths[v] = paths[predecessor[v]] + [v]
-    return dist, paths
 
 
 def barabasi_albert_tree(n: int, seed: int) -> Graph:

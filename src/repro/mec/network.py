@@ -198,11 +198,6 @@ class MECNetwork:
             counts[bs.tier] += 1
         return counts
 
-    def clear_caches(self) -> None:
-        """Evict every cached service instance (reset between repetitions)."""
-        for bs in self.stations:
-            bs.cached_services.clear()
-
     def validate_demand_fits(self, total_demand_mb: float) -> None:
         """Enforce the paper's feasibility assumption (§III-E).
 

@@ -9,9 +9,9 @@ name the cell's network reports.
 
 Factories are called as ``factory(rngs, n_stations=..., n_services=...,
 anchor_points=..., **options)``.  Synthetic families honour
-``n_stations``; fixed real topologies (``as1755``, ``as3967``) ignore a
-``None`` request and reject a mismatching explicit one, so a spec that
-pins a station count cannot silently run on a different-sized world.
+``n_stations``; the fixed real topology ``as1755`` ignores a ``None``
+request and rejects a mismatching explicit one, so a spec that pins a
+station count cannot silently run on a different-sized world.
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ pair of base stations with probability 0.1, and additionally evaluates on
 the "real network AS1755" (the Rocketfuel-measured EBONE backbone).  GT-ITM
 itself is an old C tool; its *flat random* model is an Erdős–Rényi /
 Waxman-style generator, which :func:`gtitm_topology` reproduces exactly at
-the paper's 0.1 link probability.  :func:`transit_stub_topology` implements
-GT-ITM's hierarchical transit-stub model for users who want the richer
-structure.  :func:`as1755_topology` deterministically synthesises a graph
-with AS1755's published scale (87 routers, ~161 links) and a heavy-tailed
-degree distribution, which produces the bottleneck links the paper credits
-for the wider algorithm gap in Fig. 5 (see DESIGN.md §2 for the
-substitution rationale).
+the paper's 0.1 link probability.  :func:`as1755_topology`
+deterministically synthesises a graph with AS1755's published scale (87
+routers, ~161 links) and a heavy-tailed degree distribution, which
+produces the bottleneck links the paper credits for the wider algorithm
+gap in Fig. 5 (see DESIGN.md §2 for the substitution rationale).
 
 All generators return a :class:`repro.mec.graph.Graph` whose nodes are
 integers ``0..n-1`` and whose edges carry a ``delay_ms`` attribute (link
@@ -33,33 +31,24 @@ from repro.utils.validation import require_positive, require_probability
 
 __all__ = [
     "gtitm_topology",
-    "transit_stub_topology",
     "as1755_topology",
-    "as3967_topology",
     "place_base_stations",
     "AS1755_NODE_COUNT",
     "AS1755_EDGE_COUNT",
-    "AS3967_NODE_COUNT",
-    "AS3967_EDGE_COUNT",
 ]
 
 # Published Rocketfuel scale for AS1755 (EBONE, Europe): 87 routers / 161 links.
 AS1755_NODE_COUNT = 87
 AS1755_EDGE_COUNT = 161
-# Published Rocketfuel scale for AS3967 (Exodus, US): 79 routers / 147 links.
-AS3967_NODE_COUNT = 79
-AS3967_EDGE_COUNT = 147
 
 _DEFAULT_LINK_PROBABILITY = 0.1
 _LINK_DELAY_RANGE_MS = (0.5, 3.0)
 _LINK_BANDWIDTH_RANGE_MBPS = (200.0, 1000.0)
 
 
-def _first_two_components(
-    graph: Graph, nodes: Optional[Sequence[int]] = None
-) -> List[List[int]]:
+def _first_two_components(graph: Graph) -> List[List[int]]:
     """The first two components (one when connected), as node lists."""
-    return [list(c) for c in itertools.islice(connected_components(graph, nodes), 2)]
+    return [list(c) for c in itertools.islice(connected_components(graph), 2)]
 
 
 def _ensure_connected(graph: Graph, rng: np.random.Generator) -> None:
@@ -137,73 +126,6 @@ def gtitm_topology(
     return graph
 
 
-def transit_stub_topology(
-    transit_domains: int,
-    transit_size: int,
-    stubs_per_transit: int,
-    stub_size: int,
-    rng: np.random.Generator,
-    intra_probability: float = 0.6,
-) -> Graph:
-    """GT-ITM transit-stub hierarchical topology.
-
-    ``transit_domains`` densely-connected cores; each transit node hangs
-    ``stubs_per_transit`` stub domains of ``stub_size`` nodes.  Stub domains
-    attach to their transit node through a single gateway edge, which is
-    what creates realistic bottlenecks.
-    """
-    for name, value in [
-        ("transit_domains", transit_domains),
-        ("transit_size", transit_size),
-        ("stubs_per_transit", stubs_per_transit),
-        ("stub_size", stub_size),
-    ]:
-        require_positive(name, value)
-    require_probability("intra_probability", intra_probability)
-
-    graph = Graph()
-    next_node = 0
-
-    def _new_nodes(count: int) -> List[int]:
-        nonlocal next_node
-        nodes = list(range(next_node, next_node + count))
-        next_node += count
-        graph.add_nodes_from(nodes)
-        return nodes
-
-    def _dense_subgraph(nodes: List[int]) -> None:
-        _link_random_pairs(graph, nodes, intra_probability, rng)
-        comps = _first_two_components(graph, nodes)
-        while len(comps) > 1:
-            graph.add_edge(comps[0][0], comps[1][0])
-            comps = _first_two_components(graph, nodes)
-
-    transit_nodes_by_domain: List[List[int]] = []
-    for _ in range(transit_domains):
-        nodes = _new_nodes(transit_size)
-        _dense_subgraph(nodes)
-        transit_nodes_by_domain.append(nodes)
-
-    # Ring between transit domains (plus the dense intra-domain mesh).
-    for i in range(len(transit_nodes_by_domain)):
-        a = transit_nodes_by_domain[i][0]
-        b = transit_nodes_by_domain[(i + 1) % len(transit_nodes_by_domain)][0]
-        if a != b:
-            graph.add_edge(a, b)
-
-    for domain in transit_nodes_by_domain:
-        for transit_node in domain:
-            for _ in range(stubs_per_transit):
-                stub_nodes = _new_nodes(stub_size)
-                _dense_subgraph(stub_nodes)
-                gateway = stub_nodes[int(rng.integers(len(stub_nodes)))]
-                graph.add_edge(transit_node, gateway)
-
-    _ensure_connected(graph, rng)
-    _assign_link_attributes(graph, rng)
-    return graph
-
-
 def _rocketfuel_like(
     n_nodes: int,
     n_edges: int,
@@ -251,16 +173,6 @@ def as1755_topology(rng: Optional[np.random.Generator] = None) -> Graph:
     testing.
     """
     return _rocketfuel_like(AS1755_NODE_COUNT, AS1755_EDGE_COUNT, 1755, rng)
-
-
-def as3967_topology(rng: Optional[np.random.Generator] = None) -> Graph:
-    """Deterministic AS3967-scale topology (79 routers, 147 links).
-
-    A second Rocketfuel backbone (Exodus, US) beyond the paper's AS1755 —
-    used for robustness checks that the Fig. 5 conclusions are not an
-    artifact of one real topology.
-    """
-    return _rocketfuel_like(AS3967_NODE_COUNT, AS3967_EDGE_COUNT, 3967, rng)
 
 
 def place_base_stations(

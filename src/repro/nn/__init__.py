@@ -7,7 +7,7 @@ reverse-mode automatic differentiation, Dense / LSTM / Bi-LSTM layers
 Bi-LSTM") with a fused sequence kernel that runs both directions of a
 Bi-LSTM layer as one graph node, SGD/Adam optimisers and the GAN losses.  Gradients are verified
 against numerical differentiation in the test suite (see
-:mod:`repro.nn.gradcheck`).
+``tests/gradcheck_util.py``).
 """
 
 from repro.nn.functional import (
@@ -19,7 +19,6 @@ from repro.nn.functional import (
     softplus,
 )
 from repro.nn.fused import lstm_sequence
-from repro.nn.gradcheck import gradcheck, numerical_gradient
 from repro.nn.layers import BiLSTM, Dense, LSTM, LSTMCell, Module, Sequential
 from repro.nn.optim import Adam, Optimizer, Sgd
 from repro.nn.serialize import (
@@ -39,8 +38,6 @@ __all__ = [
     "softmax",
     "softplus",
     "lstm_sequence",
-    "gradcheck",
-    "numerical_gradient",
     "BiLSTM",
     "Dense",
     "LSTM",

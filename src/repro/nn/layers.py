@@ -85,8 +85,8 @@ class Module:
         The float32 switch: convert **before** creating optimizers so
         their moment buffers match.  Gradient buffers are dropped (they
         are lazily re-allocated in the new dtype).  Gradient *checking*
-        stays a float64 affair — see :func:`repro.nn.gradcheck.gradcheck`,
-        which rejects non-float64 parameters.
+        stays a float64 affair — the test suite's ``gradcheck``
+        (``tests/gradcheck_util.py``) rejects non-float64 parameters.
         """
         for p in self.parameters():
             p.data = p.data.astype(dtype)

@@ -15,21 +15,12 @@ from repro.workload.features import (
     encode_request_locations,
     one_hot,
 )
-from repro.workload.mobility import HotspotHoppingMobility, MobilePriorityController
 from repro.workload.registry import (
     WORKLOADS,
     WorkloadFactory,
     make_workload,
     register_workload,
     workload_names,
-)
-from repro.workload.stats import (
-    BurstinessReport,
-    autocorrelation,
-    burstiness_score,
-    describe_burstiness,
-    index_of_dispersion,
-    peak_to_mean,
 )
 from repro.workload.trace import (
     Hotspot,
@@ -48,19 +39,11 @@ __all__ = [
     "HiddenFeatures",
     "encode_request_locations",
     "one_hot",
-    "HotspotHoppingMobility",
-    "MobilePriorityController",
     "WORKLOADS",
     "WorkloadFactory",
     "make_workload",
     "register_workload",
     "workload_names",
-    "BurstinessReport",
-    "autocorrelation",
-    "burstiness_score",
-    "describe_burstiness",
-    "index_of_dispersion",
-    "peak_to_mean",
     "Hotspot",
     "UserRecord",
     "WifiTrace",

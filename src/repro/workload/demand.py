@@ -217,8 +217,8 @@ class BurstyDemandModel(DemandModel):
     def bursty_at_scalar(self, slot: int) -> np.ndarray:
         """Reference per-request formulation of :meth:`bursty_at`.
 
-        Kept as the pinned scalar baseline for the equivalence tests and
-        the ``bench_slot_loop`` benchmark; not used on the hot path.
+        Kept as the pinned scalar baseline for the equivalence tests; not
+        used on the hot path.
         """
         require_non_negative("slot", slot)
         bursts = np.zeros(self.n_requests)

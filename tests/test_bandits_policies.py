@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bandits.arms import ArmStats
-from repro.bandits.policies import (
-    ConstantEpsilonGreedy,
-    DecayingEpsilonGreedy,
-    ThompsonSampling,
-    Ucb1,
-)
+from repro.bandits.policies import ThompsonSampling, Ucb1
 from repro.bandits.regret import RegretTracker
 
 
@@ -32,13 +27,8 @@ def run_bandit(policy, true_means, horizon, seed=0):
 class TestPolicyBasics:
     @pytest.mark.parametrize(
         "policy",
-        [
-            ConstantEpsilonGreedy(0.25),
-            DecayingEpsilonGreedy(0.5),
-            Ucb1(scale=1.0),
-            ThompsonSampling(),
-        ],
-        ids=["const-eps", "decay-eps", "ucb1", "thompson"],
+        [Ucb1(scale=1.0), ThompsonSampling()],
+        ids=["ucb1", "thompson"],
     )
     def test_plays_every_arm_at_least_once(self, policy):
         pulls, _ = run_bandit(policy, [1.0, 2.0, 3.0, 4.0], horizon=40)
@@ -46,13 +36,8 @@ class TestPolicyBasics:
 
     @pytest.mark.parametrize(
         "policy",
-        [
-            ConstantEpsilonGreedy(0.1),
-            DecayingEpsilonGreedy(0.5),
-            Ucb1(scale=1.0),
-            ThompsonSampling(exploration_std=0.5),
-        ],
-        ids=["const-eps", "decay-eps", "ucb1", "thompson"],
+        [Ucb1(scale=1.0), ThompsonSampling(exploration_std=0.5)],
+        ids=["ucb1", "thompson"],
     )
     def test_converges_to_best_arm(self, policy):
         true_means = [5.0, 1.0, 5.0, 5.0]
@@ -63,7 +48,7 @@ class TestPolicyBasics:
     def test_allowed_restricts_selection(self):
         stats = ArmStats(5)
         rng = np.random.default_rng(0)
-        policy = ConstantEpsilonGreedy(1.0)  # always explore
+        policy = ThompsonSampling()
         for _ in range(50):
             arm = policy.select(stats, 1, rng, allowed=[1, 3])
             assert arm in (1, 3)
@@ -72,7 +57,7 @@ class TestPolicyBasics:
     def test_empty_allowed_rejected(self):
         stats = ArmStats(3)
         with pytest.raises(ValueError):
-            ConstantEpsilonGreedy().select(stats, 1, np.random.default_rng(0), allowed=[])
+            Ucb1().select(stats, 1, np.random.default_rng(0), allowed=[])
 
     def test_out_of_range_allowed_rejected(self):
         stats = ArmStats(3)
@@ -83,30 +68,6 @@ class TestPolicyBasics:
         stats = ArmStats(2)
         with pytest.raises(ValueError):
             Ucb1().select(stats, 0, np.random.default_rng(0))
-
-
-class TestEpsilonSchedules:
-    def test_constant_epsilon_validates(self):
-        with pytest.raises(ValueError):
-            ConstantEpsilonGreedy(1.5)
-
-    def test_decaying_epsilon_validates(self):
-        with pytest.raises(ValueError):
-            DecayingEpsilonGreedy(0.0)
-        with pytest.raises(ValueError):
-            DecayingEpsilonGreedy(1.5)
-
-    def test_decaying_explores_less_over_time(self):
-        """Late rounds should exploit almost always."""
-        policy = DecayingEpsilonGreedy(0.5)
-        assert policy._epsilon(1) == 0.5
-        assert policy._epsilon(1000) == 0.0005
-
-    def test_decaying_regret_lower_than_constant_high_eps(self):
-        means = [1.0, 3.0, 3.0, 3.0]
-        _, constant = run_bandit(ConstantEpsilonGreedy(0.5), means, 800, seed=1)
-        _, decaying = run_bandit(DecayingEpsilonGreedy(0.5), means, 800, seed=1)
-        assert decaying.total_regret < constant.total_regret
 
 
 class TestRegretTracker:
@@ -153,6 +114,6 @@ class TestRegretTracker:
     def test_policies_achieve_sublinear_regret(self):
         """End-to-end: every learning policy beats linear regret growth."""
         means = [1.0, 2.5, 2.5, 4.0]
-        for policy in [DecayingEpsilonGreedy(0.5), Ucb1(), ThompsonSampling()]:
+        for policy in [Ucb1(), ThompsonSampling()]:
             _, tracker = run_bandit(policy, means, horizon=1000, seed=3)
             assert tracker.is_sublinear(window=50), type(policy).__name__

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.figures import FigureResult
-from repro.experiments.plots import ascii_chart, render_figure_plots, sparkline
+from repro.experiments.plots import render_figure_plots, sparkline
 
 
 class TestSparkline:
@@ -36,31 +36,6 @@ class TestSparkline:
             sparkline([])
         with pytest.raises(ValueError):
             sparkline([1.0], width=0)
-
-
-class TestAsciiChart:
-    def test_contains_markers_and_legend(self):
-        text = ascii_chart({"alpha": [1, 2, 3], "beta": [3, 2, 1]}, width=30, height=8)
-        assert "A" in text and "B" in text
-        assert "A=alpha" in text and "B=beta" in text
-
-    def test_y_axis_labels(self):
-        text = ascii_chart({"x": [10.0, 20.0]}, width=20, height=5)
-        assert "20.00" in text and "10.00" in text
-
-    def test_marker_collision_resolved(self):
-        text = ascii_chart({"aa": [1, 2], "ab": [2, 1]}, width=10, height=4)
-        legend = text.splitlines()[-1]
-        assert "A=aa" in legend
-        assert "1=ab" in legend  # second 'a' name falls back to a digit
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_chart({})
-        with pytest.raises(ValueError):
-            ascii_chart({"x": [1.0]}, width=0)
-        with pytest.raises(ValueError):
-            ascii_chart({"x": [np.nan]})
 
 
 class TestRenderFigurePlots:

@@ -1,62 +1,10 @@
-"""Tests for the GAN sample-quality metrics."""
+"""Tests for the GAN's latent-code recovery metric."""
 
 import numpy as np
 import pytest
 
 from repro.gan import InfoRnnGan
-from repro.gan.evaluation import (
-    autocorrelation_gap,
-    latent_recovery_accuracy,
-    marginal_ks_statistic,
-)
-
-
-def toy_series(seed=0, window=6, batch=8):
-    rng = np.random.default_rng(seed)
-    return np.abs(rng.normal(2.0, 1.0, size=(window, batch, 1)))
-
-
-class TestMarginalKs:
-    def test_identical_samples_zero(self):
-        series = toy_series()
-        assert marginal_ks_statistic(series, series) == 0.0
-
-    def test_disjoint_distributions_near_one(self):
-        a = toy_series()
-        b = a + 100.0
-        assert marginal_ks_statistic(a, b) == pytest.approx(1.0)
-
-    def test_similar_distributions_small(self):
-        a, b = toy_series(seed=1), toy_series(seed=2)
-        assert marginal_ks_statistic(a, b) < 0.25
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            marginal_ks_statistic(np.zeros((4, 2)), np.zeros((4, 2, 1)))
-
-
-class TestAutocorrelationGap:
-    def test_same_structure_zero_gap(self):
-        series = toy_series()
-        assert autocorrelation_gap(series, series) == pytest.approx(0.0)
-
-    def test_structured_vs_noise_positive_gap(self):
-        window, batch = 20, 4
-        trend = np.tile(
-            np.linspace(1.0, 5.0, window)[:, None, None], (1, batch, 1)
-        )
-        rng = np.random.default_rng(3)
-        noise = np.abs(rng.normal(3.0, 1.0, size=(window, batch, 1)))
-        assert autocorrelation_gap(trend, noise) > 0.3
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            autocorrelation_gap(toy_series(), toy_series()[:4])
-
-    def test_short_window_rejected(self):
-        short = toy_series()[:2]
-        with pytest.raises(ValueError):
-            autocorrelation_gap(short, short)
+from repro.gan.evaluation import latent_recovery_accuracy
 
 
 class TestLatentRecovery:

@@ -3,7 +3,7 @@
 ``scipy.stats`` (with ``scipy.integrate``, ``scipy.interpolate`` and
 ``scipy.ndimage`` behind it) is about a fifth of a fresh process's
 resident memory and a third of its start-up, yet only the repetition
-summaries (t-interval, sign test) and the GAN's KS statistic call it.
+summaries (t-interval, sign test) call it.
 ``scipy.optimize`` (with ``scipy.sparse`` and ``scipy.linalg``) is about
 half a second more, yet every LP solve goes straight to the one compiled
 HiGHS module inside it, ``scipy.optimize._highspy._core``, which

@@ -31,11 +31,6 @@ class TestTierProfiles:
         assert TIER_PROFILES[BaseStationTier.MICRO].radius_m == 30.0
         assert TIER_PROFILES[BaseStationTier.FEMTO].radius_m == 15.0
 
-    def test_paper_transmit_powers(self):
-        assert TIER_PROFILES[BaseStationTier.MACRO].transmit_power_w == 40.0
-        assert TIER_PROFILES[BaseStationTier.MICRO].transmit_power_w == 5.0
-        assert TIER_PROFILES[BaseStationTier.FEMTO].transmit_power_w == 0.1
-
     def test_paper_delay_bands(self):
         assert TIER_PROFILES[BaseStationTier.MACRO].unit_delay_ms == (30.0, 50.0)
         assert TIER_PROFILES[BaseStationTier.MICRO].unit_delay_ms == (10.0, 20.0)
@@ -65,23 +60,6 @@ class TestBaseStation:
     def test_covers_at_exact_radius(self):
         bs = make_station(tier=BaseStationTier.MICRO)
         assert bs.covers(Point(30.0, 0.0))
-
-    def test_cache_service_idempotent(self):
-        bs = make_station()
-        assert bs.cache_service(2) is True  # newly instantiated
-        assert bs.cache_service(2) is False  # already there
-        assert bs.has_service(2)
-
-    def test_evict_service(self):
-        bs = make_station()
-        bs.cache_service(1)
-        assert bs.evict_service(1) is True
-        assert bs.evict_service(1) is False
-        assert not bs.has_service(1)
-
-    def test_radio_matches_tier_power(self):
-        bs = make_station(tier=BaseStationTier.MACRO)
-        assert bs.radio.transmit_power_w == 40.0
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):

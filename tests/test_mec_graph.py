@@ -11,7 +11,6 @@ from repro.mec.graph import (
     barabasi_albert_tree,
     connected_components,
     is_connected,
-    single_source_dijkstra,
 )
 
 
@@ -79,30 +78,6 @@ class TestComponents:
         assert not is_connected(graph)
         with pytest.raises(ValueError):
             is_connected(Graph())
-
-
-class TestDijkstra:
-    def test_distances_and_paths(self):
-        graph = path_graph(3)
-        graph.add_edge(0, 2, delay_ms=5.0)
-        dist, paths = single_source_dijkstra(graph, 0, weight="delay_ms")
-        assert dist == {0: 0, 1: 1.0, 2: 2.0}
-        assert paths == {0: [0], 1: [0, 1], 2: [0, 1, 2]}
-
-    def test_missing_weight_costs_one(self):
-        graph = Graph()
-        graph.add_edge(0, 1)
-        assert single_source_dijkstra(graph, 1, weight="delay_ms")[0] == {1: 0, 0: 1}
-
-    def test_unreachable_nodes_are_absent(self):
-        graph = path_graph(2)
-        graph.add_node(5)
-        dist, paths = single_source_dijkstra(graph, 0, weight="delay_ms")
-        assert 5 not in dist and 5 not in paths
-
-    def test_unknown_source(self):
-        with pytest.raises(KeyError):
-            single_source_dijkstra(path_graph(2), 7, weight="delay_ms")
 
 
 class TestBarabasiAlbertTree:

@@ -84,12 +84,6 @@ class TestValidationAndState:
                 net.delays,
             )
 
-    def test_clear_caches(self, net):
-        net.stations[0].cache_service(1)
-        net.stations[5].cache_service(2)
-        net.clear_caches()
-        assert all(not bs.cached_services for bs in net.stations)
-
     def test_validate_demand_fits_passes_small(self, net):
         net.validate_demand_fits(total_demand_mb=1.0)
 

@@ -4,28 +4,14 @@ import numpy as np
 import pytest
 
 from repro.mec.basestation import BaseStationTier
-from repro.mec.graph import Graph, is_connected
+from repro.mec.graph import is_connected
 from repro.mec.topology import (
     AS1755_EDGE_COUNT,
     AS1755_NODE_COUNT,
     as1755_topology,
     gtitm_topology,
     place_base_stations,
-    transit_stub_topology,
 )
-
-
-def bridges(graph):
-    """Edges whose removal disconnects ``graph``."""
-    edges = list(graph.edges())
-    for cut in edges:
-        rest = Graph()
-        rest.add_nodes_from(graph)
-        for edge in edges:
-            if edge != cut:
-                rest.add_edge(*edge)
-        if not is_connected(rest):
-            yield cut
 
 
 class TestGtitmTopology:
@@ -67,27 +53,6 @@ class TestGtitmTopology:
             gtitm_topology(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             gtitm_topology(10, np.random.default_rng(0), link_probability=1.5)
-
-
-class TestTransitStub:
-    def test_connected_and_sized(self):
-        g = transit_stub_topology(2, 3, 2, 4, np.random.default_rng(0))
-        # 2 transit domains of 3 + each of the 6 transit nodes hangs 2 stubs of 4
-        assert g.number_of_nodes() == 2 * 3 + 6 * 2 * 4
-        assert is_connected(g)
-
-    def test_stub_gateways_create_cut_edges(self):
-        """Stub domains attach by one gateway edge, so bridges must exist."""
-        g = transit_stub_topology(2, 2, 2, 3, np.random.default_rng(1))
-        assert any(True for _ in bridges(g))
-
-    def test_edge_attributes_assigned(self):
-        g = transit_stub_topology(1, 2, 1, 3, np.random.default_rng(2))
-        assert all("delay_ms" in d for _, _, d in g.edges(data=True))
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            transit_stub_topology(0, 1, 1, 1, np.random.default_rng(0))
 
 
 class TestAs1755:
@@ -177,36 +142,3 @@ class TestPlacement:
             place_base_stations(
                 g, np.random.default_rng(1), macro_fraction=0.7, micro_fraction=0.7
             )
-
-
-class TestAs3967:
-    def test_published_scale(self):
-        from repro.mec.topology import (
-            AS3967_EDGE_COUNT,
-            AS3967_NODE_COUNT,
-            as3967_topology,
-        )
-
-        g = as3967_topology()
-        assert g.number_of_nodes() == AS3967_NODE_COUNT == 79
-        assert g.number_of_edges() == AS3967_EDGE_COUNT == 147
-
-    def test_deterministic_and_connected(self):
-        from repro.mec.topology import as3967_topology
-
-        g1, g2 = as3967_topology(), as3967_topology()
-        assert sorted(g1.edges()) == sorted(g2.edges())
-        assert is_connected(g1)
-
-    def test_distinct_from_as1755(self):
-        from repro.mec.topology import as1755_topology, as3967_topology
-
-        a, b = as1755_topology(), as3967_topology()
-        assert a.number_of_nodes() != b.number_of_nodes()
-
-    def test_heavy_tailed(self):
-        from repro.mec.topology import as3967_topology
-
-        g = as3967_topology()
-        degrees = [g.degree(node) for node in g]
-        assert max(degrees) >= 4 * (sum(degrees) / len(degrees))

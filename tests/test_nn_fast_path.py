@@ -26,9 +26,10 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, BiLSTM, fused, gradcheck, is_grad_enabled, no_grad, tensor
+from repro.nn import LSTM, BiLSTM, fused, is_grad_enabled, no_grad, tensor
 from repro.nn.layers import LSTMCell
 from repro.nn.tensor import Tensor
+from tests.gradcheck_util import gradcheck
 
 
 def _sequence(seed, shape=(7, 3, 4)):

@@ -11,10 +11,10 @@ from repro.nn.functional import (
     softmax,
     softplus,
 )
-from repro.nn.gradcheck import gradcheck
 from repro.nn.layers import BiLSTM, Dense, LSTM, LSTMCell, Sequential
 from repro.nn.optim import Adam, Sgd
 from repro.nn.tensor import Tensor
+from tests.gradcheck_util import gradcheck
 
 
 def param(shape, seed=0, scale=1.0):

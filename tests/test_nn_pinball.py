@@ -5,9 +5,9 @@ import pytest
 
 from repro.gan import InfoRnnGan
 from repro.nn.functional import pinball
-from repro.nn.gradcheck import gradcheck
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
+from tests.gradcheck_util import gradcheck
 
 
 class TestPinball:

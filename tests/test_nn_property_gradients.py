@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.functional import log_softmax, softmax, softplus
-from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import Tensor, concat
+from tests.gradcheck_util import gradcheck
 
 dims = st.integers(min_value=1, max_value=4)
 

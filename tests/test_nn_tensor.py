@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import Tensor, _stable_sigmoid, concat, stack
+from tests.gradcheck_util import gradcheck
 
 
 def param(shape, seed=0, scale=1.0, positive=False):

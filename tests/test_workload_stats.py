@@ -1,75 +1,32 @@
-"""Tests for the burstiness statistics and workload validation."""
+"""The generated demand is bursty: over-dispersed, peaky and episodic.
+
+The paper's premise is that demand is *bursty*; these tests measure it
+with the standard traffic-engineering statistics of one demand series:
+peak-to-mean ratio, index of dispersion (variance / mean; 1 for
+Poisson) and lag-1 autocorrelation (burst *episodes* correlate
+neighbouring slots).
+"""
 
 import numpy as np
-import pytest
-from hypothesis import given, strategies as st
 
 from repro.mec.requests import Request
 from repro.workload import BurstyDemandModel, ConstantDemandModel
-from repro.workload.stats import (
-    BurstinessReport,
-    autocorrelation,
-    burstiness_score,
-    describe_burstiness,
-    index_of_dispersion,
-    peak_to_mean,
-)
 
 
-class TestEstimators:
-    def test_constant_series(self):
-        series = np.full(50, 3.0)
-        assert peak_to_mean(series) == pytest.approx(1.0)
-        assert index_of_dispersion(series) == pytest.approx(0.0)
-        assert autocorrelation(series) == 0.0  # zero-variance guard
-        assert burstiness_score(series) == pytest.approx(-1.0)
+def burstiness(series):
+    """(peak-to-mean, index of dispersion, lag-1 autocorrelation)."""
+    series = np.asarray(series, dtype=float)
+    mean = series.mean()
+    a, b = series[:-1], series[1:]
+    spread = a.std() * b.std()
+    lag1 = np.mean((a - a.mean()) * (b - b.mean())) / spread if spread else 0.0
+    return series.max() / mean, series.var() / mean, lag1
 
-    def test_single_spike(self):
-        series = np.ones(100)
-        series[50] = 101.0
-        assert peak_to_mean(series) == pytest.approx(101.0 / 2.0)
-        assert index_of_dispersion(series) > 1.0
 
-    def test_poisson_dispersion_near_one(self):
-        rng = np.random.default_rng(0)
-        series = rng.poisson(5.0, size=20000).astype(float)
-        assert index_of_dispersion(series) == pytest.approx(1.0, abs=0.1)
-
-    def test_autocorrelation_of_episodes(self):
-        # Long on/off blocks: strong lag-1 correlation.
-        series = np.array(([0.0] * 10 + [5.0] * 10) * 10)
-        assert autocorrelation(series, lag=1) > 0.7
-
-    def test_autocorrelation_of_alternation_negative(self):
-        series = np.array([0.0, 5.0] * 50)
-        assert autocorrelation(series, lag=1) < -0.9
-
-    def test_lag_validation(self):
-        with pytest.raises(ValueError):
-            autocorrelation(np.ones(10), lag=0)
-        with pytest.raises(ValueError):
-            autocorrelation(np.ones(10), lag=10)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            peak_to_mean([1.0])
-        with pytest.raises(ValueError):
-            index_of_dispersion([-1.0, 2.0])
-        with pytest.raises(ValueError):
-            peak_to_mean(np.zeros(5))
-
-    @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=2, max_size=50))
-    def test_peak_to_mean_at_least_one(self, values):
-        assert peak_to_mean(values) >= 1.0 - 1e-12
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=3, max_size=50))
-    def test_burstiness_score_bounded(self, values):
-        series = np.asarray(values)
-        if series.std() + series.mean() == 0.0:  # all-(sub)zero: undefined
-            with pytest.raises(ValueError):
-                burstiness_score(values)
-            return
-        assert -1.0 <= burstiness_score(values) <= 1.0
+def is_bursty(series):
+    """Pronounced peaks and over-dispersion."""
+    peak_to_mean, dispersion, _ = burstiness(series)
+    return peak_to_mean >= 2.0 and dispersion >= 1.0
 
 
 class TestWorkloadIsActuallyBursty:
@@ -81,34 +38,25 @@ class TestWorkloadIsActuallyBursty:
         return model.matrix(1500)[:, 0]
 
     def test_default_workload_is_bursty(self):
-        report = describe_burstiness(self._series())
-        assert report.is_bursty(), report
+        series = self._series()
+        assert is_bursty(series), burstiness(series)
 
     def test_bursts_are_episodic(self):
         """MMPP episodes + ramps leave positive lag-1 autocorrelation."""
-        report = describe_burstiness(self._series())
-        assert report.autocorrelation_lag1 > 0.2
+        assert burstiness(self._series())[2] > 0.2
 
     def test_constant_demand_is_not_bursty(self):
         requests = [Request(index=0, service_index=0, basic_demand_mb=1.0)]
         series = ConstantDemandModel(requests).matrix(100)[:, 0]
-        report = describe_burstiness(series)
-        assert not report.is_bursty()
+        assert not is_bursty(series)
 
     def test_higher_p_enter_means_more_dispersion(self):
-        rare = describe_burstiness(self._series(p_enter=0.02))
-        frequent = describe_burstiness(self._series(p_enter=0.3))
+        rare = burstiness(self._series(p_enter=0.02))
+        frequent = burstiness(self._series(p_enter=0.3))
         # More bursting raises the mean faster than the variance at the
         # top end; the comparison that is monotone is peak-to-mean for
         # the *rare* case: rare bursts → sharper peaks relative to mean.
-        assert rare.peak_to_mean > frequent.peak_to_mean
+        assert rare[0] > frequent[0]
 
     def test_report_fields_finite(self):
-        report = describe_burstiness(self._series())
-        for value in (
-            report.peak_to_mean,
-            report.index_of_dispersion,
-            report.autocorrelation_lag1,
-            report.burstiness_score,
-        ):
-            assert np.isfinite(value)
+        assert np.all(np.isfinite(burstiness(self._series())))
