@@ -27,8 +27,10 @@ both paths share one cost definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Sequence, Tuple, Union
+import operator
+from collections.abc import Set
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +38,13 @@ from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 
 __all__ = ["Assignment", "SlotEvaluator", "evaluate_assignment"]
+
+#: A cached `(service, station)` pair is stored as the one int64 code
+#: ``service << _STATION_BITS | station``: codes sort as the pairs do and
+#: mean the same pair in every assignment, so two cache sets compare
+#: code for code.
+_STATION_BITS = 32
+_STATION_MASK = (1 << _STATION_BITS) - 1
 
 
 def service_indices(requests: Sequence[Request]) -> np.ndarray:
@@ -45,8 +54,69 @@ def service_indices(requests: Sequence[Request]) -> np.ndarray:
     )
 
 
+class CacheSet(Set):
+    """Immutable set of `(service, station)` pairs over sorted packed codes.
+
+    Behaves as the frozenset of int pairs it replaces (equal to one with
+    the same pairs, same hash), iterates in sorted pair order, and keeps
+    one int64 code per pair instead of a tuple of two python ints.
+    """
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: np.ndarray):
+        self._codes = codes
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[Tuple[int, int]]) -> "CacheSet":
+        packed = [(int(k) << _STATION_BITS) | int(i) for k, i in pairs]
+        return cls(np.unique(np.array(packed, dtype=np.int64)))
+
+    def __len__(self) -> int:
+        return int(self._codes.size)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for code in self._codes.tolist():
+            yield code >> _STATION_BITS, code & _STATION_MASK
+
+    def __contains__(self, pair: Any) -> bool:
+        try:
+            service, station = map(operator.index, pair)
+        except (TypeError, ValueError):
+            return False
+        if service < 0 or not 0 <= station <= _STATION_MASK:
+            return False
+        code = (service << _STATION_BITS) | station
+        at = int(np.searchsorted(self._codes, code))
+        return at < self._codes.size and int(self._codes[at]) == code
+
+    def __and__(self, other: Any) -> Any:
+        if isinstance(other, CacheSet):
+            return CacheSet(
+                np.intersect1d(self._codes, other._codes, assume_unique=True)
+            )
+        return super().__and__(other)
+
+    def __sub__(self, other: Any) -> Any:
+        if isinstance(other, CacheSet):
+            return CacheSet(
+                np.setdiff1d(self._codes, other._codes, assume_unique=True)
+            )
+        return super().__sub__(other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __repr__(self) -> str:
+        return f"CacheSet({list(self)!r})"
+
+    def pairs(self) -> np.ndarray:
+        """The pairs as a sorted ``(n_pairs, 2)`` int64 array."""
+        codes = self._codes
+        return np.stack([codes >> _STATION_BITS, codes & _STATION_MASK], axis=1)
+
+
 @dataclass
-# repro: allow[STATE001] -- only mutates _cached_pairs, a lazy view of the frozen `cached` field; rebuilt bit-identically after resume
 class Assignment:
     """Per-slot caching/offloading decision.
 
@@ -59,12 +129,7 @@ class Assignment:
     """
 
     station_of: np.ndarray
-    cached: FrozenSet[Tuple[int, int]]
-    #: Lazily-built ``(n_pairs, 2)`` int array of the ``cached`` pairs in
-    #: sorted order; computed once by :meth:`cached_array`.
-    _cached_pairs: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
+    cached: CacheSet
 
     @classmethod
     def from_stations(
@@ -79,8 +144,8 @@ class Assignment:
         ``service_of`` optionally supplies the precomputed per-request
         service-index vector (see :func:`service_indices`); controllers on
         the hot path pass their cached copy so the cache-set derivation is
-        a single ``np.unique`` over integer pairs instead of a per-request
-        python loop.
+        one bincount over integer codes instead of a per-request python
+        loop.
         """
         stations = np.asarray(station_of, dtype=int)
         if stations.shape != (len(requests),):
@@ -93,15 +158,15 @@ class Assignment:
         if service_of is None:
             service_of = service_indices(requests)
         # Distinct (service, station) pairs via a presence bincount over
-        # packed codes — O(|R| + #codes) instead of the O(|R| log |R|)
-        # sort ``np.unique`` costs, and the code range is tiny (services
-        # x stations).  Codes sort lexicographically as (service,
-        # station), so the derived pair array keeps np.unique's order.
+        # dense codes ``service * base + station`` — O(|R| + #codes)
+        # instead of the O(|R| log |R|) sort ``np.unique`` costs, and the
+        # code range is tiny (services x stations).  The dense codes come
+        # out sorted, and repacking them to the fixed layout keeps that.
         base = int(stations.max()) + 1 if stations.size else 1
-        codes = np.nonzero(np.bincount(service_of * base + stations))[0]
-        pairs = np.stack([codes // base, codes % base], axis=1)
-        cached = frozenset((int(k), int(i)) for k, i in pairs)
-        return cls(station_of=stations, cached=cached, _cached_pairs=pairs)
+        dense = np.nonzero(np.bincount(service_of * base + stations))[0]
+        dense = dense.astype(np.int64, copy=False)
+        codes = ((dense // base) << _STATION_BITS) | (dense % base)
+        return cls(station_of=stations, cached=CacheSet(codes))
 
     @property
     def n_requests(self) -> int:
@@ -113,11 +178,7 @@ class Assignment:
 
     def cached_array(self) -> np.ndarray:
         """The ``cached`` pairs as a sorted ``(n_pairs, 2)`` int array."""
-        if self._cached_pairs is None:
-            self._cached_pairs = np.array(
-                sorted(self.cached), dtype=int
-            ).reshape(len(self.cached), 2)
-        return self._cached_pairs
+        return self.cached.pairs()
 
     def loads_mhz(self, demands_mb: np.ndarray, c_unit_mhz: float, n_stations: int) -> np.ndarray:
         """Compute load per station: ``sum_l x_li * rho_l * C_unit`` (Eq. 5 LHS).

@@ -9,8 +9,7 @@ The algorithms follow networkx 3.6.1 step for step, so a seed builds the
 same world it built when the repo used networkx:
 
 * :func:`connected_components` is networkx's level-by-level BFS, with the
-  same set-insertion order and the same early exit; restricted to a node
-  subset, it visits nodes in the order a networkx subgraph view does;
+  same set-insertion order and the same early exit;
 * :func:`barabasi_albert_tree` draws from ``random.Random(seed)`` over
   networkx's star start graph and its repeated-node list.
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 # repro: allow[DET003] -- a local Random(seed) instance, never the global one; it reproduces networkx's preferential-attachment draws
 from random import Random
-from typing import Collection, Dict, Iterable, Iterator, Optional, Set
+from typing import Dict, Iterable, Iterator, Set
 
 __all__ = [
     "Graph",
@@ -102,10 +101,7 @@ class Graph:
 
 
 def _plain_bfs(
-    adj: Dict[int, Dict[int, Attributes]],
-    source: int,
-    remaining: int,
-    keep: Optional[Set[int]],
+    adj: Dict[int, Dict[int, Attributes]], source: int, remaining: int
 ) -> Set[int]:
     """The component of ``source``; stops once ``remaining`` nodes are seen."""
     seen = {source}
@@ -115,7 +111,7 @@ def _plain_bfs(
         next_level = []
         for v in this_level:
             for w in adj[v]:
-                if w not in seen and (keep is None or w in keep):
+                if w not in seen:
                     seen.add(w)
                     next_level.append(w)
             if len(seen) == remaining:
@@ -123,27 +119,14 @@ def _plain_bfs(
     return seen
 
 
-def connected_components(
-    graph: Graph, nodes: Optional[Iterable[int]] = None
-) -> Iterator[Set[int]]:
-    """Node sets of the connected components, found lazily.
-
-    With ``nodes``, the components of the subgraph those nodes induce.
-    Like a networkx subgraph view, that visits start nodes in the order
-    of ``set(nodes)`` when it is under half the graph, else in graph
-    order.
-    """
+def connected_components(graph: Graph) -> Iterator[Set[int]]:
+    """Node sets of the connected components, found lazily in node order."""
     adj = graph._adj
-    keep: Optional[Set[int]] = None
-    order: Collection[int] = adj
-    if nodes is not None:
-        keep = {node for node in nodes if node in adj}
-        order = keep if 2 * len(keep) < len(adj) else [v for v in adj if v in keep]
-    total = len(order)
+    total = len(adj)
     seen: Set[int] = set()
-    for v in order:
+    for v in adj:
         if v not in seen:
-            component = _plain_bfs(adj, v, total - len(seen), keep)
+            component = _plain_bfs(adj, v, total - len(seen))
             seen.update(component)
             yield component
 

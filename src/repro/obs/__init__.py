@@ -1,4 +1,4 @@
-"""Observability: process-local metrics, scoped timers, JSONL tracing.
+"""Observability: per-thread metrics, scoped timers, JSONL tracing.
 
 Telemetry is **off by default** and costs a near-zero no-op check on the
 instrumented hot paths (``benchmarks/bench_obs_overhead.py`` proves the

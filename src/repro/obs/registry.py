@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms, spans.
+"""Metrics: counters, gauges, fixed-bucket histograms, spans, per thread.
 
 The simulator's public timing series (the paper's Fig. 3b/4b/6b curves)
 are the ``perf_counter`` columns of each slot record (see
@@ -13,10 +13,13 @@ vs. arm updates).  Design constraints:
   do not).
 * **Zero-cost when off.**  Telemetry is *disabled by default*: the
   module-level helpers (:func:`span`, :func:`inc`, :func:`observe`)
-  check one module global and fall through to shared no-op objects, so
-  instrumented hot paths pay a dictionary-free constant overhead
+  read the calling thread's active registry and fall through to shared
+  no-op objects, so instrumented hot paths pay a dictionary-free
+  constant overhead
   (measured in ``benchmarks/bench_obs_overhead.py`` to be well under the
   5% per-slot budget).
+* **Per thread.**  :func:`activate` installs a registry for the calling
+  thread only; a thread that never activated one records nothing.
 * **Mergeable.**  A registry serialises to a plain-dict
   :meth:`~MetricsRegistry.snapshot` (picklable, JSON-able) and merges
   additively, which is how :func:`repro.sim.parallel.execute_sweeps`'
@@ -35,6 +38,7 @@ Typical use::
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -332,19 +336,26 @@ class MetricsRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Process-local activation
+# Per-thread activation
 # --------------------------------------------------------------------- #
 
-_ACTIVE: Optional[MetricsRegistry] = None
+
+class _ThreadState(threading.local):
+    """Each thread's active registry; a thread starts with none."""
+
+    registry: Optional[MetricsRegistry] = None
+
+
+_STATE = _ThreadState()
 
 
 def active_registry() -> Optional[MetricsRegistry]:
-    """The registry instrumented code currently records into (or None)."""
-    return _ACTIVE
+    """The registry this thread's instrumented code records into (or None)."""
+    return _STATE.registry
 
 
 class _Activation:
-    """Context manager installing a registry as the process-local target."""
+    """Context manager installing a registry as this thread's target."""
 
     __slots__ = ("_registry", "_previous")
 
@@ -353,14 +364,12 @@ class _Activation:
         self._previous: Optional[MetricsRegistry] = None
 
     def __enter__(self) -> Optional[MetricsRegistry]:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self._registry
+        self._previous = _STATE.registry
+        _STATE.registry = self._registry
         return self._registry
 
     def __exit__(self, *exc_info: object) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
+        _STATE.registry = self._previous
 
 
 def activate(registry: Optional[MetricsRegistry]) -> _Activation:
@@ -368,7 +377,11 @@ def activate(registry: Optional[MetricsRegistry]) -> _Activation:
 
     ``activate(None)`` is a supported no-op (telemetry stays off), which
     lets call sites write ``with activate(maybe_registry):`` unconditionally.
-    Activations nest; the previous target is restored on exit.
+    Activations nest; the previous target is restored on exit.  The
+    target is per thread: a thread sees only the registries it activated
+    itself, so threads that enter and leave activations in interleaved
+    order (a server's clock thread and its connections) cannot restore
+    each other's targets.
     """
     return _Activation(registry)
 
@@ -377,10 +390,10 @@ def span(name: str) -> Union[_Span, _NullSpan]:
     """Module-level scoped timer honouring the active registry.
 
     Returns a shared no-op context manager when telemetry is disabled —
-    the fast path instrumentation relies on (one global read, no
+    the fast path instrumentation relies on (one thread-local read, no
     allocation).
     """
-    registry = _ACTIVE
+    registry = _STATE.registry
     if registry is None:
         return _NULL_SPAN
     return registry.span(name)
@@ -388,14 +401,14 @@ def span(name: str) -> Union[_Span, _NullSpan]:
 
 def inc(name: str, amount: float = 1.0) -> None:
     """Increment a counter on the active registry (no-op when disabled)."""
-    registry = _ACTIVE
+    registry = _STATE.registry
     if registry is not None:
         registry.inc(name, amount)
 
 
 def gauge(name: str, value: float) -> None:
     """Set a gauge on the active registry (no-op when disabled)."""
-    registry = _ACTIVE
+    registry = _STATE.registry
     if registry is not None:
         registry.gauge(name, value)
 
@@ -404,13 +417,13 @@ def observe(
     name: str, value: float, edges: Tuple[float, ...] = DEFAULT_TIME_EDGES
 ) -> None:
     """Record into a histogram on the active registry (no-op when disabled)."""
-    registry = _ACTIVE
+    registry = _STATE.registry
     if registry is not None:
         registry.observe(name, value, edges)
 
 
 def set_context(**labels: object) -> None:
     """Update the active registry's trace context (no-op when disabled)."""
-    registry = _ACTIVE
+    registry = _STATE.registry
     if registry is not None:
         registry.set_context(**labels)

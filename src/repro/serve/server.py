@@ -103,10 +103,7 @@ class Placement:
         return cls(
             slot=record.slot,
             station_of=tuple(int(s) for s in assignment.station_of),
-            cached=tuple(
-                (int(service), int(station))
-                for service, station in assignment.cached_array()
-            ),
+            cached=tuple(assignment.cached),
             delay_ms=float(record.average_delay_ms),
             n_offers=n_offers,
             rejected=rejected,

@@ -65,12 +65,6 @@ class TestComponents:
         graph.add_node(7)
         assert list(connected_components(graph)) == [{0, 1, 2}, {5, 4}, {7}]
 
-    def test_restricted_to_an_induced_subgraph(self):
-        graph = path_graph(5)  # 0-1-2-3-4: dropping 2 splits {0, 1} from {3, 4}
-        components = list(connected_components(graph, [0, 1, 3, 4]))
-        assert sorted(map(sorted, components)) == [[0, 1], [3, 4]]
-        assert list(connected_components(graph, [4])) == [{4}]
-
     def test_is_connected(self):
         graph = path_graph(3)
         assert is_connected(graph)

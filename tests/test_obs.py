@@ -1,6 +1,7 @@
 """Tests for the repro.obs telemetry layer (registry, spans, tracing)."""
 
 import json
+import threading
 
 import pytest
 
@@ -145,6 +146,53 @@ class TestActivation:
             with obs.activate(registry):
                 raise RuntimeError("boom")
         assert obs.active_registry() is None
+
+    def test_interleaved_threads_keep_their_own_target(self):
+        # A served session's clock thread and a connection both record
+        # into the server's registry; the first to enter leaves first.
+        registry = MetricsRegistry()
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        after: dict = {}
+
+        def first() -> None:
+            with obs.activate(registry):
+                obs.inc("first")
+                first_in.set()
+                second_in.wait(10)
+            first_out.set()
+
+        def second() -> None:
+            first_in.wait(10)
+            with obs.activate(registry):
+                second_in.set()
+                first_out.wait(10)
+                obs.inc("second")
+            after["registry"] = obs.active_registry()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert registry.counter("first") == 1
+        assert registry.counter("second") == 1
+        assert after == {"registry": None}
+        assert obs.active_registry() is None
+
+    def test_activation_is_invisible_to_other_threads(self):
+        registry = MetricsRegistry()
+        seen: dict = {}
+
+        def record() -> None:
+            seen["registry"] = obs.active_registry()
+            obs.inc("elsewhere")
+
+        with obs.activate(registry):
+            thread = threading.Thread(target=record)
+            thread.start()
+            thread.join(20)
+        assert seen == {"registry": None}
+        assert registry.counter("elsewhere") == 0
 
 
 class TestTrace:
